@@ -1,9 +1,11 @@
-// Benchmarks for the live store: BenchmarkStoreWarmKNN measures
-// repeated kNN queries against a stable Store — the persistent
-// decomposition cache makes later queries skip every influence-object
-// kd-split — next to the cold path that builds a fresh Engine per
-// query. BenchmarkBulkLoad compares the STR bulk build of the R-tree
-// against incremental insertion.
+// Benchmarks for the live store: BenchmarkStoreWarmKNNSampleHeavy
+// measures repeated kNN queries against a stable Store of sample-heavy
+// objects (300 x 512 samples; cmd/bench's StoreWarmKNN scenario is a
+// different, 1000 x 8 workload) — the persistent decomposition cache
+// makes later queries skip every influence-object kd-split — next to
+// the cold path that builds a fresh Engine per query. BenchmarkBulkLoad
+// compares the STR bulk build of the R-tree against incremental
+// insertion.
 package probprune_test
 
 import (
@@ -12,7 +14,7 @@ import (
 	"probprune"
 )
 
-func BenchmarkStoreWarmKNN(b *testing.B) {
+func BenchmarkStoreWarmKNNSampleHeavy(b *testing.B) {
 	// Sample-heavy objects make the kd-splits the cache elides a
 	// visible fraction of the query (the UGF refinement work is
 	// untouched by caching and dominates at low sample counts).

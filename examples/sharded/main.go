@@ -1,12 +1,12 @@
 // Sharded serving: a city-wide sensor grid is partitioned into spatial
-// stripes — eight independent shards, each with its own R-tree and
-// decomposition cache — behind a scatter-gather router. Queries merge
-// per-shard filter bounds canonically before any refinement runs, so
-// the answers are bit-identical to an unsharded store (the example
-// checks this on every query); mutations pay the copy-on-write detach
-// of their home shard only; a standing subscription consumes the merged
-// multi-shard change stream; and an online rebalance re-homes sensors
-// that drifted across stripe borders without disturbing any of it.
+// stripes — eight shards, each with its own R-tree — behind a
+// scatter-gather router. Queries merge per-shard filter bounds
+// canonically before any refinement runs, so the answers are
+// bit-identical to a one-shard store (the example checks this on every
+// query); mutations clone the R-tree of their home shard only; a
+// standing subscription consumes the merged multi-shard change stream;
+// and an online rebalance re-homes sensors that drifted across stripe
+// borders without disturbing any of it.
 //
 //	go run ./examples/sharded
 package main

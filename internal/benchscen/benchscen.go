@@ -113,8 +113,8 @@ func StoreBatchKNN16(b *testing.B, db probprune.Database) {
 }
 
 // ShardedBatchKNN returns the sharded serving scenario at a given
-// shard count: a ShardedStore in serving mode (a watcher is attached,
-// so every commit publishes a snapshot for the change stream) sustains
+// shard count: a Store in serving mode (a watcher is attached, so
+// every commit publishes a snapshot for the change stream) sustains
 // an interleave of WritesPerBatch object updates and one 16-request
 // BatchKNN per op. The refinement work is identical at every shard
 // count — scatter-gather merging is exact — but each commit's
@@ -202,9 +202,9 @@ func driftObject(b *testing.B, rng *rand.Rand, o *probprune.Object) *probprune.O
 // WritesPerBatch is the write half of the sharded serving interleave.
 const WritesPerBatch = 32
 
-// ShardedBuild returns the ingest scenario: full ShardedStore
-// construction (router bookkeeping plus one concurrent STR bulk load
-// per shard) at a given shard count.
+// ShardedBuild returns the ingest scenario: full Store construction
+// (router bookkeeping plus one concurrent STR bulk load per shard) at a
+// given shard count.
 func ShardedBuild(shards int) func(b *testing.B, db probprune.Database) {
 	return func(b *testing.B, db probprune.Database) {
 		b.ReportAllocs()

@@ -11,7 +11,7 @@ import (
 )
 
 // Race-detector stress test for the sharded serving path: concurrent
-// writers mutate a ShardedStore through the router (each commit detaches
+// writers mutate a multi-shard Store through the router (each commit detaches
 // only its home shard), scatter-gather readers query snapshots, a
 // migrator moves objects between shards and rebalances, and a live
 // Monitor consumes the merged multi-shard Watch stream — all at once.
@@ -31,7 +31,7 @@ func TestShardedMonitorRaceStress(t *testing.T) {
 
 	// Record every committed version's snapshot for the replay below.
 	var recMu sync.Mutex
-	snaps := map[uint64]query.SnapshotView{}
+	snaps := map[uint64]*query.Snapshot{}
 	snap0, stopRec := ss.Watch(func(ch query.Change) {
 		recMu.Lock()
 		snaps[ch.Version] = ch.Snap

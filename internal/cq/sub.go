@@ -156,7 +156,7 @@ func (s *Subscription) finish(err error) {
 // engine query seeds the per-candidate verdicts, and the initial result
 // set is emitted as ObjectEntered events at sn's version — a consumer
 // reconstructs the complete standing result from the stream alone.
-func (s *Subscription) init(sn query.SnapshotView) []Event {
+func (s *Subscription) init(sn *query.Snapshot) []Event {
 	e := sn.Engine()
 	s.cache = e.NewQueryCache()
 	var matches []query.Match
@@ -202,7 +202,7 @@ func (s *Subscription) init(sn query.SnapshotView) []Event {
 // ObjectLeft; bound drift on a staying member produces BoundsChanged.
 // All events carry the current snapshot version — the resumed stream
 // is exact from the cursor onward.
-func (s *Subscription) resumeEvents(sn query.SnapshotView, results []query.Match) []Event {
+func (s *Subscription) resumeEvents(sn *query.Snapshot, results []query.Match) []Event {
 	prev := make(map[int]wal.CursorEntry, len(s.resume.Entries))
 	for _, pe := range s.resume.Entries {
 		prev[pe.Obj.ID] = pe

@@ -51,7 +51,7 @@ func TestAutoCheckpointFailureSurfacedStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Bootstrap wrote checkpoint 1; the auto-checkpoint will try 2.
-	blocker := blockCheckpoint(t, dir, 2)
+	blocker := blockCheckpoint(t, filepath.Join(dir, "shard-0"), 2)
 
 	obj := func(i int) *uncertain.Object {
 		return uncertain.PointObject(1000+i, geom.Point{0.1 * float64(i), 0.2})
@@ -129,11 +129,10 @@ func TestAutoCheckpointFailureSurfacedSharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Bootstrap leaves each shard at checkpoint 2 (its own bootstrap
-	// snapshot plus the router's genesis checkpoint); block shard 0's
-	// next one — the router checkpoint saves the manifest, then fails
-	// on the shard.
-	blocker := blockCheckpoint(t, filepath.Join(dir, "shard-0"), 3)
+	// Bootstrap leaves each shard at checkpoint 1 (its genesis
+	// snapshot); block shard 0's next one — the checkpoint saves the
+	// manifest, then fails on the shard.
+	blocker := blockCheckpoint(t, filepath.Join(dir, "shard-0"), 2)
 
 	obj := func(i int) *uncertain.Object {
 		return uncertain.PointObject(2000+i, geom.Point{0.07 * float64(i), 0.4})

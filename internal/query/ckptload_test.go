@@ -143,7 +143,7 @@ func TestKillPointStoreCheckpointInstall(t *testing.T) {
 		snaps[step] = dst
 	}
 	snapshot("begin")
-	s.journal.j.SetInstallHook(func(step string) { snapshot(step) })
+	s.journal.wals[0].SetInstallHook(func(step string) { snapshot(step) })
 	if err := s.journal.install(job); err != nil {
 		t.Fatal(err)
 	}
@@ -203,9 +203,9 @@ func TestKillPointShardedCheckpointInstall(t *testing.T) {
 		snaps[step] = dst
 	}
 	snapshot("begin")
-	for i, sh := range s.shards {
+	for i, j := range s.journal.wals {
 		shard := i
-		sh.journal.j.SetInstallHook(func(step string) {
+		j.SetInstallHook(func(step string) {
 			snapshot(fmt.Sprintf("shard-%d:%s", shard, step))
 		})
 	}

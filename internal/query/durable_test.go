@@ -1,7 +1,6 @@
 package query
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -67,8 +66,8 @@ type traceOp struct {
 	id, dst int
 }
 
-// durableMutator is the mutation surface shared by Store and
-// ShardedStore, plus the sharded-only ops (no-ops on a Store).
+// durableMutator is the mutation surface of a Store; applyOp adds the
+// migration ops.
 type durableMutator interface {
 	Insert(*uncertain.Object) error
 	Update(*uncertain.Object) error
@@ -91,13 +90,13 @@ func applyOp(t *testing.T, s durableMutator, op traceOp) {
 			t.Fatalf("delete of %d found nothing", op.id)
 		}
 	case 'm':
-		if sh, ok := s.(*ShardedStore); ok {
+		if sh, ok := s.(*Store); ok {
 			if err := sh.Move(op.id, op.dst); err != nil {
 				t.Fatal(err)
 			}
 		}
 	case 'r':
-		if sh, ok := s.(*ShardedStore); ok {
+		if sh, ok := s.(*Store); ok {
 			sh.Rebalance()
 		}
 	}
@@ -335,7 +334,7 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 	}
 }
 
-// TestDurableStoreBasics drives the unsharded open/persist lifecycle:
+// TestDurableStoreBasics drives the one-shard open/persist lifecycle:
 // bootstrap, journaled commits, checkpoint, close, reopen, and the
 // refusal to bootstrap over an existing journal.
 func TestDurableStoreBasics(t *testing.T) {
@@ -443,7 +442,7 @@ func TestRecoveryTruncatedTail(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	seg := filepath.Join(dir, "wal-00000002.log")
+	seg := filepath.Join(dir, "shard-0", "wal-00000002.log")
 	fi, err := os.Stat(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -487,7 +486,10 @@ func TestRecoveryInterruptedMigration(t *testing.T) {
 	src, _ := s.ShardOf(id)
 	dst := (src + 1) % 3
 	o, _ := s.Get(id)
-	if err := s.shards[dst].insertOp(context.Background(), o, wal.OpMoveIn, s.Version()); err != nil {
+	s.mu.Lock()
+	err = s.moveInLocked(o, dst)
+	s.mu.Unlock()
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -548,5 +550,146 @@ func TestBootstrapShardedInterrupted(t *testing.T) {
 	}
 	if _, err := BootstrapShardedStore(db, PersistOptions{Dir: popts.Dir}, ShardedOptions{Shards: 2}, opts); err == nil {
 		t.Fatal("bootstrap over the re-initialized manifest succeeded")
+	}
+}
+
+// TestGroupCommitSharesFsyncs: concurrent SyncAlways committers must
+// share group fsyncs at every shard count — a commit waits for
+// durability only after it released the store lock, so writers that
+// land while an fsync is in flight ride the next one. Every
+// acknowledged commit must survive a reopen.
+func TestGroupCommitSharesFsyncs(t *testing.T) {
+	const writers, perWriter = 8, 50
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			db, err := workload.Synthetic(workload.SyntheticConfig{N: 64, Samples: 4, MaxExtent: 0.05, Seed: 23})
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := core.Options{MaxIterations: 2}
+			popts := PersistOptions{Dir: filepath.Join(t.TempDir(), "db"), Sync: wal.SyncAlways}
+			sopts := ShardedOptions{Shards: shards}
+			s, err := BootstrapShardedStore(db, popts, sopts, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			before, _ := s.WALStats()
+			errs := make(chan error, writers)
+			for w := 0; w < writers; w++ {
+				go func(w int) {
+					for i := 0; i < perWriter; i++ {
+						id := db[(w*perWriter+i)%len(db)].ID
+						o := uncertain.PointObject(id, geom.Point{float64(w) / writers, float64(i) / perWriter})
+						if err := s.Update(o); err != nil {
+							errs <- err
+							return
+						}
+					}
+					errs <- nil
+				}(w)
+			}
+			for w := 0; w < writers; w++ {
+				if err := <-errs; err != nil {
+					t.Fatal(err)
+				}
+			}
+			after, _ := s.WALStats()
+			appends, fsyncs := after.Appends-before.Appends, after.Fsyncs-before.Fsyncs
+			if appends != writers*perWriter {
+				t.Fatalf("%d appends, want %d", appends, writers*perWriter)
+			}
+			if fsyncs >= appends {
+				t.Fatalf("%d fsyncs for %d concurrent SyncAlways commits: committers never shared an fsync", fsyncs, appends)
+			}
+			t.Logf("%d shards: %.2f fsyncs per write", shards, float64(fsyncs)/float64(appends))
+			// A SyncAlways migration waits for its move-in under the lock.
+			moved := db[0].ID
+			home, _ := s.ShardOf(moved)
+			dst := (home + 1) % shards
+			if err := s.Move(moved, dst); err != nil {
+				t.Fatal(err)
+			}
+			want := s.Version()
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			r, err := OpenShardedStore(PersistOptions{Dir: popts.Dir}, sopts, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			if r.Version() != want {
+				t.Fatalf("reopened at version %d, want %d", r.Version(), want)
+			}
+			if got, _ := r.ShardOf(moved); got != dst {
+				t.Fatalf("moved object reopened on shard %d, want %d", got, dst)
+			}
+		})
+	}
+}
+
+// TestRecoveryEpochGap: an OS crash can keep a later commit's record on
+// one shard and lose an earlier commit's record on another. Neither was
+// acknowledged (a commit waits for every earlier one), so recovery must
+// land on the last gapless epoch, and erase the orphaned record so the
+// reopened store keeps committing and reopening cleanly.
+func TestRecoveryEpochGap(t *testing.T) {
+	db, _ := traceCase(t, 21, false)
+	opts := core.Options{MaxIterations: 2}
+	popts := PersistOptions{Dir: filepath.Join(t.TempDir(), "db")}
+	sopts := ShardedOptions{Shards: 2, Partition: StripeShards(0, 0, 1)}
+	s, err := BootstrapShardedStore(db, popts, sopts, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := s.Version()
+	lost := uncertain.PointObject(9001, geom.Point{0.1, 0.5})   // shard 0
+	orphan := uncertain.PointObject(9002, geom.Point{0.9, 0.5}) // shard 1
+	for _, o := range []*uncertain.Object{lost, orphan} {
+		if err := s.Insert(o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Tear shard 0's last record: the commit before the orphan is gone.
+	segs, _ := filepath.Glob(filepath.Join(popts.Dir, "shard-0", "wal-*.log"))
+	seg := segs[len(segs)-1]
+	fi, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(seg, fi.Size()-3); err != nil {
+		t.Fatal(err)
+	}
+
+	mirror, err := NewShardedStore(db, sopts, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	next := uncertain.PointObject(9003, geom.Point{0.8, 0.5}) // shard 1, after the orphan
+	for round := 1; round <= 2; round++ {
+		r, err := OpenShardedStore(popts, sopts, opts)
+		if err != nil {
+			t.Fatalf("reopen %d: %v", round, err)
+		}
+		if _, ok := r.Get(orphan.ID); ok {
+			t.Fatalf("reopen %d: a commit past the epoch gap survived", round)
+		}
+		if round == 1 {
+			if r.Version() != base {
+				t.Fatalf("reopen 1 at version %d, want %d", r.Version(), base)
+			}
+			for _, st := range []*Store{r, mirror} {
+				if err := st.Insert(next); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		compareBackends(t, fmt.Sprintf("epoch gap reopen %d", round), r, mirror)
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

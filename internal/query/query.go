@@ -53,9 +53,9 @@ type Engine struct {
 	// scatter-gather over per-shard R-trees: IDCA filters, preselection
 	// thresholds and impossibility counts are computed per shard and
 	// merged canonically before any refinement runs. Installed by
-	// ShardedSnapshot.Engine; every query algorithm above this level is
-	// oblivious to it, which is what keeps sharded results bit-identical
-	// to the monolithic path.
+	// Snapshot.Engine on multi-shard snapshots; every query algorithm
+	// above this level is oblivious to it, which is what keeps sharded
+	// results bit-identical to the monolithic path.
 	plane *shardPlane
 
 	// defaultCache is the persistent decomposition cache NewEngine

@@ -1,91 +1,15 @@
 package query
 
 import (
-	"context"
 	"fmt"
 	"sort"
-	"sync"
-	"time"
 
 	"probprune/internal/core"
 	"probprune/internal/geom"
-	"probprune/internal/obs"
 	"probprune/internal/rtree"
 	"probprune/internal/uncertain"
 	"probprune/internal/wal"
 )
-
-// ShardedStore is a live uncertain-object store partitioned across N
-// independent shards, each a full Store with its own R-tree,
-// decomposition cache and versioned copy-on-write snapshots, behind a
-// router that assigns every object to exactly one shard and executes
-// queries by scatter-gather.
-//
-// # Why sharding composes exactly
-//
-// The paper's complete-domination filter classifies each database
-// object independently (core.ClassifyRole reads one object, the target
-// and the reference), so a candidate's filter outcome over the whole
-// database is the disjoint union of its outcomes over the shards:
-// dominator and pruned counts add, influence sets concatenate, and the
-// canonical (object ID) influence ordering of core makes the merged
-// refinement input bit-identical to the monolithic one. The same holds
-// for the preselection bounds: the global kNN threshold m_{k+1} is an
-// order statistic computable from each shard's k+1 smallest MaxDist
-// values, and the RkNN impossibility count is a sum of capped per-shard
-// counts. Every query therefore runs its filter phase per shard, merges
-// the bounds at the router, and refines exactly once per surviving
-// candidate — no more refinement work than an unsharded Store, and
-// results that are bit-identical to one at any shard count and any
-// Options.Parallelism (the cross-shard equivalence suite enforces
-// this).
-//
-// # Consistency
-//
-// The router serializes mutations and routes each to its object's home
-// shard; a query binds to a ShardedSnapshot — one immutable per-shard
-// snapshot vector plus the global-order object slice — published
-// atomically under the router lock, so every query observes a database
-// state that existed as a whole. Only the mutated shard pays the
-// copy-on-write detach (an O(n/N) clone instead of O(n)), which is the
-// serving-path win of sharding under write load.
-//
-// # Rebalancing
-//
-// Objects stay on the shard they were routed to at insert; Move and
-// Rebalance migrate them online, riding the shards' copy-on-write
-// clone path. A move changes no logical database state: versions,
-// published change streams and every query result are unaffected —
-// the shard router fuzzer enforces that moves never lose, duplicate,
-// or re-verdict an object.
-type ShardedStore struct {
-	opts   core.Options
-	part   ShardFunc
-	shards []*Store
-
-	mu      sync.RWMutex
-	db      uncertain.Database // global insertion order; detached from snapshots
-	byID    map[int]*uncertain.Object
-	home    map[int]int // object ID -> shard index
-	cache   *core.DecompCache
-	version uint64
-	snap    *ShardedSnapshot
-
-	// obs is the router-level query metric set, shared with every shard
-	// store so direct shard queries and scatter-gather queries land in
-	// one place. Immutable after construction.
-	obs *Metrics
-
-	// sj, when non-nil, makes the store durable: shards journal every
-	// commit under the router epoch and sj coordinates manifest writes
-	// and checkpoints (see OpenShardedStore). closed rejects mutations
-	// after Close.
-	sj     *shardedJournal
-	closed bool
-
-	watchers    []watcher
-	nextWatcher int
-}
 
 // ShardFunc deterministically assigns an object to one of n shards
 // (n >= 1). It must depend only on the object (typically its ID or
@@ -133,380 +57,77 @@ func StripeShards(dim int, lo, hi float64) ShardFunc {
 	}
 }
 
-// ShardedOptions configures the shard layout of a ShardedStore.
-type ShardedOptions struct {
-	// Shards is the shard count; <= 0 selects 1 (a sharded store with
-	// one shard behaves exactly like a Store, which the equivalence
-	// suite exploits).
-	Shards int
-	// Partition routes objects to shards; nil selects HashShards.
-	Partition ShardFunc
-}
-
-// NewShardedStore builds a sharded store over db (objects must have
-// unique IDs; the slice is copied, the objects are shared and must not
-// be mutated). Shards are STR bulk-loaded concurrently. Opts configures
-// every query, like NewStore; Opts.SharedDecomps must be left unset.
-func NewShardedStore(db uncertain.Database, sopts ShardedOptions, opts core.Options) (*ShardedStore, error) {
-	if opts.SharedDecomps != nil {
-		return nil, fmt.Errorf("sharded store: Options.SharedDecomps must be unset (the store manages its own cache)")
-	}
-	n := sopts.Shards
-	if n <= 0 {
-		n = 1
-	}
-	part := sopts.Partition
-	if part == nil {
-		part = HashShards
-	}
-	s := &ShardedStore{
-		opts:   opts,
-		part:   part,
-		shards: make([]*Store, n),
-		db:     make(uncertain.Database, 0, len(db)),
-		byID:   make(map[int]*uncertain.Object, len(db)),
-		home:   make(map[int]int, len(db)),
-		cache:  core.NewDecompCache(opts.MaxHeight),
-		obs:    NewMetrics(),
-	}
-	parts := make([]uncertain.Database, n)
-	for _, o := range db {
-		if o == nil {
-			return nil, fmt.Errorf("sharded store: nil object")
-		}
-		if _, dup := s.byID[o.ID]; dup {
-			return nil, fmt.Errorf("sharded store: duplicate object ID %d", o.ID)
-		}
-		si := s.shardFor(o)
-		s.byID[o.ID] = o
-		s.home[o.ID] = si
-		s.db = append(s.db, o)
-		s.cache.Add(o)
-		parts[si] = append(parts[si], o)
-	}
-	// Shard construction (one STR bulk load each) is independent per
-	// shard; building them concurrently makes ingest scale with the
-	// shard count.
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := range s.shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			s.shards[i], errs[i] = NewStore(parts[i], opts)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	// The shards share the router's metric set (replacing the private
-	// one NewStore built) so every query path lands in one place. No
-	// shard snapshot has been published yet, so the swap is safe.
-	for _, sh := range s.shards {
-		sh.obs = s.obs
-	}
-	return s, nil
-}
-
-// shardFor routes an object, folding out-of-range partitioner results
-// back into [0, n).
-func (s *ShardedStore) shardFor(o *uncertain.Object) int {
-	n := len(s.shards)
-	if n == 0 {
-		n = 1 // during construction, before the slice is populated
-	}
-	i := s.part(o, n) % n
-	if i < 0 {
-		i += n
-	}
-	return i
-}
-
-// NumShards returns the shard count.
-func (s *ShardedStore) NumShards() int { return len(s.shards) }
-
-// ShardSizes returns the current number of objects per shard.
-func (s *ShardedStore) ShardSizes() []int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	sizes := make([]int, len(s.shards))
-	for _, si := range s.home {
-		sizes[si]++
-	}
-	return sizes
-}
-
-// ShardOf returns the home shard of the object with the given ID.
-func (s *ShardedStore) ShardOf(id int) (int, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	si, ok := s.home[id]
-	return si, ok
-}
-
-// Len returns the number of stored objects across all shards.
-func (s *ShardedStore) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.db)
-}
-
-// Version returns the logical mutation epoch: it increments on every
-// Insert/Delete/Update. Rebalancing moves do not change the logical
-// database and leave it untouched.
-func (s *ShardedStore) Version() uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.version
-}
-
-// Get returns the stored object with the given ID.
-func (s *ShardedStore) Get(id int) (*uncertain.Object, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	o, ok := s.byID[id]
-	return o, ok
-}
-
-// Watch registers a commit hook on the merged multi-shard change
-// stream, with the same contract as Store.Watch: returned atomically
-// with the snapshot of the current state, the callback observes exactly
-// the changes with Version > Snap.Version(), gaplessly and in version
-// order, each carrying the ShardedSnapshot of its version (whose
-// version vector localizes the change to its shard). The callback runs
-// under the router lock and must not call back into the store.
-func (s *ShardedStore) Watch(fn func(Change)) (SnapshotView, func()) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	id := s.nextWatcher
-	s.nextWatcher++
-	s.watchers = append(s.watchers, watcher{id: id, fn: fn})
-	stop := func() {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		for i, w := range s.watchers {
-			if w.id == id {
-				s.watchers = append(s.watchers[:i], s.watchers[i+1:]...)
-				return
-			}
-		}
-	}
-	return s.snapshotLocked(), stop
-}
-
-// notifyLocked delivers a committed change to every watcher. Requires
-// s.mu held for writing, after the mutation was applied.
-func (s *ShardedStore) notifyLocked(kind ChangeKind, old, new *uncertain.Object) {
-	if len(s.watchers) == 0 {
-		return
-	}
-	ch := Change{
-		Version: s.version,
-		Kind:    kind,
-		Old:     old,
-		New:     new,
-		Snap:    s.snapshotLocked(),
-	}
-	for _, w := range s.watchers {
-		w.fn(ch)
-	}
-}
-
-// detachLocked makes the router's global-order slice private again
-// after a snapshot was published; the shards detach themselves on their
-// own mutations. Requires s.mu held for writing.
-func (s *ShardedStore) detachLocked() {
-	if s.snap == nil {
-		return
-	}
-	db := make(uncertain.Database, len(s.db))
-	copy(db, s.db)
-	s.db = db
-	s.snap = nil
-}
-
-// Insert adds a new object, routing it to its partition shard; the ID
-// must not be in use.
-func (s *ShardedStore) Insert(o *uncertain.Object) error {
-	return s.InsertCtx(context.Background(), o)
-}
-
-// InsertCtx is Insert with a context: a trace attached via
-// obs.WithTrace records the home shard's durability wait as its
-// WAL-wait phase (see Store.InsertCtx).
-func (s *ShardedStore) InsertCtx(ctx context.Context, o *uncertain.Object) error {
-	if o == nil {
-		return fmt.Errorf("sharded store: nil object")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.surfaceCkptErrLocked(); err != nil {
-		return err
-	}
-	if _, dup := s.byID[o.ID]; dup {
-		return fmt.Errorf("sharded store: duplicate object ID %d", o.ID)
-	}
-	si := s.shardFor(o)
-	s.detachLocked()
-	if err := s.shards[si].insertOp(ctx, o, wal.OpInsert, s.version+1); err != nil {
-		return err
-	}
-	s.byID[o.ID] = o
-	s.home[o.ID] = si
-	s.db = append(s.db, o)
-	s.cache.Add(o)
-	s.version++
-	s.notifyLocked(ChangeInsert, nil, o)
-	s.maybeCheckpointLocked()
-	return nil
-}
-
-// Delete removes the object with the given ID from its home shard and
-// reports whether one was stored. Journaling errors on a durable store
-// surface through DeleteErr; Delete itself keeps the boolean contract
-// and leaves the store unchanged when journaling fails.
-func (s *ShardedStore) Delete(id int) bool {
-	ok, _ := s.DeleteErr(id)
-	return ok
-}
-
-// DeleteErr is Delete with the journaling error exposed: ok reports
-// whether the ID was stored, err a failure to journal the commit (the
-// store is unchanged when err != nil).
-func (s *ShardedStore) DeleteErr(id int) (bool, error) {
-	return s.DeleteErrCtx(context.Background(), id)
-}
-
-// DeleteErrCtx is DeleteErr with a context carrying an optional trace
-// (see InsertCtx).
-func (s *ShardedStore) DeleteErrCtx(ctx context.Context, id int) (bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.surfaceCkptErrLocked(); err != nil {
-		return false, err
-	}
-	o, ok := s.byID[id]
-	if !ok {
-		return false, nil
-	}
-	s.detachLocked()
-	if _, err := s.shards[s.home[id]].deleteOp(ctx, id, wal.OpDelete, s.version+1); err != nil {
-		return false, err
-	}
-	for i, x := range s.db {
-		if x == o {
-			s.db = append(s.db[:i], s.db[i+1:]...)
-			break
-		}
-	}
-	delete(s.byID, id)
-	delete(s.home, id)
-	s.cache.Invalidate(o)
-	s.version++
-	s.notifyLocked(ChangeDelete, o, nil)
-	s.maybeCheckpointLocked()
-	return true, nil
-}
-
-// Update atomically replaces the object carrying o.ID on its home
-// shard; the object keeps its home (and its global database-order
-// position) even when the partitioner would now route it elsewhere —
-// use Rebalance to re-home drifted objects.
-func (s *ShardedStore) Update(o *uncertain.Object) error {
-	return s.UpdateCtx(context.Background(), o)
-}
-
-// UpdateCtx is Update with a context carrying an optional trace (see
-// InsertCtx).
-func (s *ShardedStore) UpdateCtx(ctx context.Context, o *uncertain.Object) error {
-	if o == nil {
-		return fmt.Errorf("sharded store: nil object")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.surfaceCkptErrLocked(); err != nil {
-		return err
-	}
-	old, ok := s.byID[o.ID]
-	if !ok {
-		return fmt.Errorf("sharded store: update of unknown object ID %d", o.ID)
-	}
-	s.detachLocked()
-	if err := s.shards[s.home[o.ID]].updateOp(ctx, o, s.version+1); err != nil {
-		return err
-	}
-	for i, x := range s.db {
-		if x == old {
-			s.db[i] = o
-			break
-		}
-	}
-	s.byID[o.ID] = o
-	s.cache.Invalidate(old)
-	s.cache.Add(o)
-	s.version++
-	s.notifyLocked(ChangeUpdate, old, o)
-	s.maybeCheckpointLocked()
-	return nil
-}
-
 // Move migrates the object with the given ID to shard dst without
 // changing the logical database: versions, change streams and query
 // results are unaffected — in-flight queries keep their snapshots, new
 // queries see the object on its new shard with bit-identical bounds.
-func (s *ShardedStore) Move(id, dst int) error {
+func (s *Store) Move(id, dst int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if dst < 0 || dst >= len(s.shards) {
-		return fmt.Errorf("sharded store: shard %d out of range [0, %d)", dst, len(s.shards))
+		return fmt.Errorf("store: shard %d out of range [0, %d)", dst, len(s.shards))
 	}
-	src, ok := s.home[id]
+	o, ok := s.byID[id]
 	if !ok {
-		return fmt.Errorf("sharded store: move of unknown object ID %d", id)
+		return fmt.Errorf("store: move of unknown object ID %d", id)
 	}
-	if src == dst {
-		return nil
+	if src := s.homeOf(id); src != dst {
+		return s.moveLocked(o, src, dst)
 	}
-	return s.moveLocked(id, src, dst)
+	return nil
 }
 
-// moveLocked performs one detached migration. Requires s.mu held for
-// writing and id resident on shard src. Moves change no logical state:
-// the shard journals record them as OpMoveIn/OpMoveOut under the
-// current router epoch, and recovery excludes them from global-order
-// replay.
+// moveLocked performs one migration of o from shard src to shard dst.
+// Requires s.mu held for writing. Moves change no logical state: the
+// shard journals record them as OpMoveIn/OpMoveOut under the current
+// store epoch, and recovery excludes them from global-order replay.
 //
-// The move-in is journaled (and applied) BEFORE the move-out: a crash
-// between the two appends leaves the object durably on both shards —
-// never on neither — and recovery detects the duplicate, drops the
-// copy that arrived through the dangling move-in (journaling the
+// The move-in is journaled and made durable BEFORE the move-out is
+// appended: a crash between the two leaves the object durably on both
+// shards — never on neither — and recovery detects the duplicate, drops
+// the copy that arrived through the dangling move-in (journaling the
 // compensating move-out), and proceeds as if the migration never
-// happened. Insert into dst cannot fail logically (o is non-nil and
-// the ID is unique across shards by the router's bookkeeping), so any
-// error from either step is a journaling failure with the store
-// unchanged, except a move-out failure after a successful move-in,
-// which is rolled back in memory and on disk before returning.
-func (s *ShardedStore) moveLocked(id, src, dst int) error {
-	o := s.byID[id]
-	s.detachLocked()
-	ctx := context.Background()
-	if err := s.shards[dst].insertOp(ctx, o, wal.OpMoveIn, s.version); err != nil {
+// happened. Any error is a journaling failure with the store unchanged;
+// a move-out failure after a successful move-in is rolled back in
+// memory and on disk before returning.
+func (s *Store) moveLocked(o *uncertain.Object, src, dst int) error {
+	if err := s.moveInLocked(o, dst); err != nil {
 		return err
 	}
-	if _, err := s.shards[src].deleteOp(ctx, id, wal.OpMoveOut, s.version); err != nil {
+	if _, err := s.journalLocked(src, wal.Record{Op: wal.OpMoveOut, Global: s.version, ID: o.ID}); err != nil {
 		// Undo the half-applied migration; if even the compensating
 		// move-out cannot be journaled, the store cannot reach a
 		// consistent durable state and must not keep serving.
-		if _, uerr := s.shards[dst].deleteOp(ctx, id, wal.OpMoveOut, s.version); uerr != nil {
-			panic(fmt.Sprintf("sharded store: move of object %d failed (%v) and could not be rolled back: %v", id, err, uerr))
+		if _, uerr := s.journalLocked(dst, wal.Record{Op: wal.OpMoveOut, Global: s.version, ID: o.ID}); uerr != nil {
+			panic(fmt.Sprintf("store: move of object %d failed (%v) and could not be rolled back: %v", o.ID, err, uerr))
 		}
+		s.shardDeleteLocked(dst, o)
 		return err
 	}
-	s.home[id] = dst
+	s.shardDeleteLocked(src, o)
+	s.home[o.ID] = dst
 	s.maybeCheckpointLocked()
+	return nil
+}
+
+// moveInLocked is the first half of a migration: it journals o's
+// move-in on shard dst, waits until the record is durable, and links o
+// into dst's index (o stays on its source shard until the move-out).
+// Requires s.mu held for writing.
+func (s *Store) moveInLocked(o *uncertain.Object, dst int) error {
+	ack, err := s.journalLocked(dst, wal.Record{Op: wal.OpMoveIn, Global: s.version, Obj: o})
+	if err != nil {
+		return err
+	}
+	if ack != nil {
+		if err := s.journal.wals[dst].WaitDurable(ack[dst]); err != nil {
+			return err
+		}
+	}
+	// A move changes no logical state, but the published snapshot holds
+	// the shard views it replaces.
+	s.detachLocked()
+	s.shardInsertLocked(dst, o)
 	return nil
 }
 
@@ -517,18 +138,21 @@ func (s *ShardedStore) moveLocked(id, src, dst int) error {
 // spatial partitioner, or after changing load patterns under any. On a
 // durable store a migration that fails to journal stops the pass early
 // (the logical database is unaffected — the stragglers stay on their
-// old shards); the error is deferred to Close, like auto-checkpoint
-// failures.
-func (s *ShardedStore) Rebalance() int {
+// old shards); the error is deferred to the next commit, Sync or Close,
+// like auto-checkpoint failures.
+func (s *Store) Rebalance() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if len(s.shards) == 1 {
+		return 0
+	}
 	moved := 0
 	for _, o := range s.db {
 		dst := s.shardFor(o)
 		if src := s.home[o.ID]; src != dst {
-			if err := s.moveLocked(o.ID, src, dst); err != nil {
-				if s.sj != nil {
-					s.sj.noteCkptErr(err)
+			if err := s.moveLocked(o, src, dst); err != nil {
+				if s.journal != nil {
+					s.journal.noteCkptErr(err)
 				}
 				return moved
 			}
@@ -538,242 +162,13 @@ func (s *ShardedStore) Rebalance() int {
 	return moved
 }
 
-// Snapshot publishes (or returns the already-published) consistent cut
-// across all shards: one immutable per-shard snapshot vector plus the
-// global-order object slice, all taken at the same router epoch.
-func (s *ShardedStore) Snapshot() *ShardedSnapshot {
-	s.mu.RLock()
-	snap := s.snap
-	s.mu.RUnlock()
-	if snap != nil {
-		return snap
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.snapshotLocked()
-}
-
-// snapshotLocked publishes (or returns) the sharded snapshot of the
-// current state. Requires s.mu held for writing.
-func (s *ShardedStore) snapshotLocked() *ShardedSnapshot {
-	if s.snap == nil {
-		shards := make([]*Snapshot, len(s.shards))
-		vv := make([]uint64, len(s.shards))
-		for i, sh := range s.shards {
-			shards[i] = sh.Snapshot()
-			vv[i] = shards[i].Version()
-		}
-		s.snap = &ShardedSnapshot{
-			db:      s.db,
-			shards:  shards,
-			vv:      vv,
-			version: s.version,
-			opts:    s.opts,
-			cache:   s.cache,
-			obs:     s.obs,
-		}
-	}
-	return s.snap
-}
-
-// ShardedSnapshot is one immutable, consistent cut of a ShardedStore:
-// per-shard snapshots, the global-order object slice, the router epoch
-// and the per-shard version vector. All queries on one sharded snapshot
-// observe exactly the same objects on every shard.
-type ShardedSnapshot struct {
-	db      uncertain.Database
-	shards  []*Snapshot
-	vv      []uint64
-	version uint64
-	opts    core.Options
-	cache   *core.DecompCache
-	obs     *Metrics
-
-	engineOnce sync.Once
-	engine     *Engine
-}
-
-// Version returns the router mutation epoch the snapshot was published
-// at.
-func (sn *ShardedSnapshot) Version() uint64 { return sn.version }
-
-// VersionVector returns a copy of the per-shard store versions at the
-// cut — the cursor a merged change-stream consumer uses to localize a
-// change to the one shard that advanced.
-func (sn *ShardedSnapshot) VersionVector() []uint64 {
-	vv := make([]uint64, len(sn.vv))
-	copy(vv, sn.vv)
-	return vv
-}
-
-// NumShards returns the shard count.
-func (sn *ShardedSnapshot) NumShards() int { return len(sn.shards) }
-
-// Shard returns the immutable snapshot of one shard.
-func (sn *ShardedSnapshot) Shard(i int) *Snapshot { return sn.shards[i] }
-
-// Len returns the number of objects in the snapshot.
-func (sn *ShardedSnapshot) Len() int { return len(sn.db) }
-
-// DB returns a copy of the snapshot's object slice in global database
-// order (the objects are shared and must be treated as read-only).
-func (sn *ShardedSnapshot) DB() uncertain.Database {
-	db := make(uncertain.Database, len(sn.db))
-	copy(db, sn.db)
-	return db
-}
-
-// Engine returns the snapshot-bound scatter-gather query engine: the
-// candidate set comes from the global-order slice, filter bounds are
-// computed per shard and merged canonically, refinement runs once per
-// surviving candidate at the router. Results are bit-identical to an
-// unsharded Store (or a fresh Engine) over the same state, at any shard
-// count and any Parallelism.
-func (sn *ShardedSnapshot) Engine() *Engine {
-	sn.engineOnce.Do(func() {
-		opts := sn.opts
-		opts.SharedDecomps = sn.cache
-		sn.engine = &Engine{DB: sn.db, Opts: opts, plane: &shardPlane{shards: sn.shards}, Obs: sn.obs}
-	})
-	return sn.engine
-}
-
-// Metrics returns the router-level query metric set, shared by every
-// shard and every sharded snapshot engine.
-func (s *ShardedStore) Metrics() *Metrics { return s.obs }
-
-// SetRecorder arms (or, with nil, disarms) the flight recorder across
-// the router and every shard: slow queries, every shard journal's
-// checkpoint lifecycle and the shard WALs' durability events all flow
-// into the one ring (see Store.SetRecorder).
-func (s *ShardedStore) SetRecorder(rec *obs.Recorder) {
-	s.obs.SetRecorder(rec)
-	s.mu.RLock()
-	shards := s.shards
-	sj := s.sj
-	s.mu.RUnlock()
-	if sj != nil {
-		sj.rec.Store(rec)
-	}
-	for _, sh := range shards {
-		sh.mu.RLock()
-		sj := sh.journal
-		sh.mu.RUnlock()
-		sj.setRecorder(rec)
-	}
-}
-
-// SetSlowQueryThreshold arms the flight-recorder slow-query capture
-// (see Metrics.SetSlowQueryThreshold). <= 0 disarms.
-func (s *ShardedStore) SetSlowQueryThreshold(d time.Duration) {
-	s.obs.SetSlowQueryThreshold(d)
-}
-
-// WALStats returns the journal metrics of a durable sharded store,
-// merged across all shard journals; ok is false on an in-memory store.
-func (s *ShardedStore) WALStats() (wal.MetricsSnapshot, bool) {
-	s.mu.RLock()
-	durable := s.sj != nil
-	shards := s.shards
-	s.mu.RUnlock()
-	if !durable {
-		return wal.MetricsSnapshot{}, false
-	}
-	var out wal.MetricsSnapshot
-	for _, sh := range shards {
-		if ms, ok := sh.WALStats(); ok {
-			out.Merge(ms)
-		}
-	}
-	return out, true
-}
-
-// BatchKNN is ShardedStore.BatchKNN pinned to this snapshot.
-func (sn *ShardedSnapshot) BatchKNN(ctx context.Context, reqs []KNNRequest) ([][]Match, error) {
-	return batchKNN(sn.Engine(), ctx, reqs)
-}
-
-// ShardedStore query methods: each binds to the current sharded
-// snapshot and delegates to its scatter-gather engine, mirroring Store.
-
-// KNN answers the probabilistic threshold kNN query on the current
-// sharded snapshot (see Engine.KNN).
-func (s *ShardedStore) KNN(q *uncertain.Object, k int, tau float64) []Match {
-	return s.Snapshot().Engine().KNN(q, k, tau)
-}
-
-// KNNCtx is KNN with cancellation.
-func (s *ShardedStore) KNNCtx(ctx context.Context, q *uncertain.Object, k int, tau float64) ([]Match, error) {
-	return s.Snapshot().Engine().KNNCtx(ctx, q, k, tau)
-}
-
-// RKNN answers the probabilistic threshold reverse kNN query on the
-// current sharded snapshot (see Engine.RKNN).
-func (s *ShardedStore) RKNN(q *uncertain.Object, k int, tau float64) []Match {
-	return s.Snapshot().Engine().RKNN(q, k, tau)
-}
-
-// RKNNCtx is RKNN with cancellation.
-func (s *ShardedStore) RKNNCtx(ctx context.Context, q *uncertain.Object, k int, tau float64) ([]Match, error) {
-	return s.Snapshot().Engine().RKNNCtx(ctx, q, k, tau)
-}
-
-// TopKNN answers the top-m probable kNN query on the current sharded
-// snapshot (see Engine.TopKNN).
-func (s *ShardedStore) TopKNN(q *uncertain.Object, k, m int) []Match {
-	return s.Snapshot().Engine().TopKNN(q, k, m)
-}
-
-// TopKNNCtx is TopKNN with cancellation.
-func (s *ShardedStore) TopKNNCtx(ctx context.Context, q *uncertain.Object, k, m int) ([]Match, error) {
-	return s.Snapshot().Engine().TopKNNCtx(ctx, q, k, m)
-}
-
-// InverseRank computes the probabilistic inverse ranking on the current
-// sharded snapshot (see Engine.InverseRank).
-func (s *ShardedStore) InverseRank(b, r *uncertain.Object) *RankDistribution {
-	return s.Snapshot().Engine().InverseRank(b, r)
-}
-
-// RankByExpectedRank ranks the current sharded snapshot by expected
-// rank (see Engine.RankByExpectedRank).
-func (s *ShardedStore) RankByExpectedRank(q *uncertain.Object) []Ranked {
-	return s.Snapshot().Engine().RankByExpectedRank(q)
-}
-
-// UKRanks computes the U-kRanks winners on the current sharded snapshot
-// (see Engine.UKRanks).
-func (s *ShardedStore) UKRanks(q *uncertain.Object, k int) []RankWinner {
-	return s.Snapshot().Engine().UKRanks(q, k)
-}
-
-// Batch runs fn against an engine bound to one sharded snapshot (see
-// Store.Batch).
-func (s *ShardedStore) Batch(fn func(*Engine)) {
-	fn(s.Snapshot().Engine())
-}
-
-// BatchCtx is Batch with cancellation (see Store.BatchCtx).
-func (s *ShardedStore) BatchCtx(ctx context.Context, fn func(context.Context, *Engine) error) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return fn(ctx, s.Snapshot().Engine())
-}
-
-// BatchKNN evaluates many kNN queries on ONE sharded snapshot, pooling
-// all candidate runs (see Store.BatchKNN).
-func (s *ShardedStore) BatchKNN(ctx context.Context, reqs []KNNRequest) ([][]Match, error) {
-	return s.Snapshot().BatchKNN(ctx, reqs)
-}
-
-// shardPlane is the scatter-gather data plane behind a sharded
+// shardPlane is the scatter-gather data plane behind a multi-shard
 // snapshot's engine: the filter-stage primitives (IDCA filter,
 // preselection threshold, impossibility count) are computed per shard
 // on the shards' own R-trees and gathered into the exact global value
 // before any refinement work runs.
 type shardPlane struct {
-	shards []*Snapshot
+	shards []*shardView
 }
 
 // filter scatters the complete-domination filter across the shard
@@ -786,7 +181,7 @@ type shardPlane struct {
 func (p *shardPlane) filter(target, reference *uncertain.Object, opts core.Options) core.PartialFilter {
 	parts := make([]core.PartialFilter, len(p.shards))
 	for i, sh := range p.shards {
-		root, allCertain, ok := sh.shardStats()
+		root, allCertain, ok := sh.stats()
 		if !ok {
 			continue // empty shard
 		}
@@ -823,12 +218,12 @@ func (p *shardPlane) newSession(target, reference *uncertain.Object, opts core.O
 func (p *shardPlane) knnThreshold(q *uncertain.Object, k int, n geom.Norm) float64 {
 	h := &maxDistHeap{bound: k + 1}
 	type shardDist struct {
-		sh  *Snapshot
+		sh  *shardView
 		min float64
 	}
 	order := make([]shardDist, 0, len(p.shards))
 	for _, sh := range p.shards {
-		root, _, ok := sh.shardStats()
+		root, _, ok := sh.stats()
 		if !ok {
 			continue
 		}
@@ -877,7 +272,7 @@ func (p *shardPlane) rknnPrunable(q, b *uncertain.Object, k int, n geom.Norm) bo
 	}
 	count := 0
 	for _, sh := range p.shards {
-		root, _, ok := sh.shardStats()
+		root, _, ok := sh.stats()
 		if !ok || root.MinDistRect(n, b.MBR) >= lim {
 			continue
 		}

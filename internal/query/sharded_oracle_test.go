@@ -12,9 +12,9 @@ import (
 
 // This file is the cross-shard equivalence suite: on the same seeded
 // random databases the query-layer oracle uses, every verdict and every
-// probability bound a ShardedStore reports — KNN, RkNN, TopKNN,
+// probability bound a multi-shard Store reports — KNN, RkNN, TopKNN,
 // InverseRank — must be bit-identical (exact float equality, not a
-// tolerance) to the unsharded Store and to a fresh Engine, at every
+// tolerance) to the one-shard Store and to a fresh Engine, at every
 // shard count and under both partitioners, and the bounds must contain
 // the exact internal/mc value. This is the acceptance criterion of the
 // sharding design: scatter-gather with canonical bound merging is not
@@ -24,13 +24,13 @@ import (
 var shardCounts = []int{1, 2, 4, 8}
 
 // shardedCase builds the backends under comparison over one oracle
-// database: a fresh Engine, an unsharded Store, and one ShardedStore
-// per shard count (hash partitioning; odd seeds use spatial stripes to
+// database: a fresh Engine, a one-shard Store, and one Store per
+// shard count (hash partitioning; odd seeds use spatial stripes to
 // cover skewed shard sizes, including empty shards).
 type shardedCase struct {
 	oc      *oracleCase
 	store   *Store
-	sharded map[int]*ShardedStore
+	sharded map[int]*Store
 }
 
 func newShardedCase(t *testing.T, seed int64, parallelism int) *shardedCase {
@@ -40,7 +40,7 @@ func newShardedCase(t *testing.T, seed int64, parallelism int) *shardedCase {
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
-	sc := &shardedCase{oc: oc, store: store, sharded: map[int]*ShardedStore{}}
+	sc := &shardedCase{oc: oc, store: store, sharded: map[int]*Store{}}
 	var part ShardFunc
 	if seed%2 == 1 {
 		// Stripes over a band narrower than the data: border shards get
@@ -87,7 +87,7 @@ func TestShardedEquivalenceKNN(t *testing.T) {
 			requireSameMatches(t, seed, "Store KNN", want, sc.store.KNN(sc.oc.q, k, tau))
 			for _, n := range shardCounts {
 				got := sc.sharded[n].KNN(sc.oc.q, k, tau)
-				requireSameMatches(t, seed, fmt.Sprintf("ShardedStore(%d) KNN", n), want, got)
+				requireSameMatches(t, seed, fmt.Sprintf("Store(%d shards) KNN", n), want, got)
 				for _, m := range got {
 					exact := sc.oc.exactCDF(m.Object, sc.oc.q, k)
 					checkContains(t, seed, fmt.Sprintf("sharded(%d) KNN object %d", n, m.Object.ID),
@@ -112,7 +112,7 @@ func TestShardedEquivalenceRKNN(t *testing.T) {
 			requireSameMatches(t, seed, "Store RKNN", want, sc.store.RKNN(sc.oc.q, k, tau))
 			for _, n := range shardCounts {
 				got := sc.sharded[n].RKNN(sc.oc.q, k, tau)
-				requireSameMatches(t, seed, fmt.Sprintf("ShardedStore(%d) RKNN", n), want, got)
+				requireSameMatches(t, seed, fmt.Sprintf("Store(%d shards) RKNN", n), want, got)
 				for _, m := range got {
 					exact := sc.oc.exactCDF(sc.oc.q, m.Object, k)
 					checkContains(t, seed, fmt.Sprintf("sharded(%d) RKNN object %d", n, m.Object.ID),
@@ -137,7 +137,7 @@ func TestShardedEquivalenceTopKNN(t *testing.T) {
 			want := sc.oc.eng.TopKNN(sc.oc.q, k, m)
 			requireSameMatches(t, seed, "Store TopKNN", want, sc.store.TopKNN(sc.oc.q, k, m))
 			for _, n := range shardCounts {
-				requireSameMatches(t, seed, fmt.Sprintf("ShardedStore(%d) TopKNN", n),
+				requireSameMatches(t, seed, fmt.Sprintf("Store(%d shards) TopKNN", n),
 					want, sc.sharded[n].TopKNN(sc.oc.q, k, m))
 			}
 		})
@@ -176,7 +176,7 @@ func TestShardedEquivalenceInverseRank(t *testing.T) {
 				pdf := mc.DomCountPDF(sc.oc.norm, cands, b, sc.oc.q, 0)
 				for _, n := range shardCounts {
 					got := sc.sharded[n].InverseRank(b, sc.oc.q)
-					check(fmt.Sprintf("ShardedStore(%d)", n), got)
+					check(fmt.Sprintf("Store(%d shards)", n), got)
 					for j, iv := range got.Ranks {
 						rank := got.MinRank + j
 						exact := 0.0
@@ -264,9 +264,9 @@ func TestShardedEquivalenceAfterMutations(t *testing.T) {
 				want := sc.store.KNN(sc.oc.q, k, 0.4)
 				wantR := sc.store.RKNN(sc.oc.q, k, 0.4)
 				for _, n := range shardCounts {
-					requireSameMatches(t, seed, fmt.Sprintf("step %d ShardedStore(%d) KNN", step, n),
+					requireSameMatches(t, seed, fmt.Sprintf("step %d Store(%d shards) KNN", step, n),
 						want, sc.sharded[n].KNN(sc.oc.q, k, 0.4))
-					requireSameMatches(t, seed, fmt.Sprintf("step %d ShardedStore(%d) RKNN", step, n),
+					requireSameMatches(t, seed, fmt.Sprintf("step %d Store(%d shards) RKNN", step, n),
 						wantR, sc.sharded[n].RKNN(sc.oc.q, k, 0.4))
 				}
 			}

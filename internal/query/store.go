@@ -20,19 +20,44 @@ import (
 // frozen Engine — the paper's framework operated the way a production
 // system runs it, with the database changing underneath the queries.
 //
+// # Shards
+//
+// A store is partitioned across N >= 1 shards, each holding its own
+// R-tree over the objects a router (ShardFunc) assigned to it. The
+// paper's complete-domination filter classifies each database object
+// independently (core.ClassifyRole reads one object, the target and the
+// reference), so a candidate's filter outcome over the whole database is
+// the disjoint union of its outcomes over the shards: dominator and
+// pruned counts add, influence sets concatenate, and the canonical
+// (object ID) influence ordering of core makes the merged refinement
+// input bit-identical to the monolithic one. The same holds for the
+// preselection bounds: the global kNN threshold m_{k+1} is an order
+// statistic computable from each shard's k+1 smallest MaxDist values,
+// and the RkNN impossibility count is a sum of capped per-shard counts.
+// A query on a multi-shard store therefore scatters its filter phase,
+// merges the bounds and refines exactly once per surviving candidate:
+// results are bit-identical at any shard count and any
+// Options.Parallelism (the cross-shard equivalence suite enforces
+// this). An unsharded store is simply the one-shard case, whose
+// snapshot engines query the shard's R-tree directly.
+//
+// Everything that is not per shard exists once: the global database
+// order, the ID map, the decomposition cache, the version, the watchers
+// and the lock.
+//
 // # Snapshot isolation by copy-on-write
 //
 // Queries never lock out writers and writers never tear queries: a
-// query binds to an immutable Snapshot (database slice + R-tree +
-// decomposition cache) published under a read lock, and the first
-// mutation after a snapshot was published detaches — it clones the
-// R-tree (O(n)) and copies the object slice, then mutates the private
-// copies. Consecutive mutations reuse the detached state, so a write
-// burst pays one clone; consecutive queries reuse the published
-// snapshot, so a read burst pays one publish. Every query therefore
-// observes a database state that existed atomically — never a
-// half-applied update — and returns results bit-identical to a fresh
-// Engine built from that state, at any Parallelism.
+// query binds to an immutable Snapshot (database slice + per-shard
+// R-trees + decomposition cache) published under a read lock, and the
+// first mutation after a snapshot was published detaches — it copies
+// the object slice and clones the R-tree of the shard it mutates, then
+// mutates the private copies. Consecutive mutations reuse the detached
+// state, so a write burst pays one copy; consecutive queries reuse the
+// published snapshot, so a read burst pays one publish. Every query
+// therefore observes a database state that existed atomically — never
+// a half-applied update — and returns results bit-identical to a fresh
+// Engine built from that state.
 //
 // # Cross-query work reuse
 //
@@ -43,13 +68,23 @@ import (
 // Repeated queries against a stable database therefore stop
 // re-splitting influence objects — the dominant shared work of the
 // refinement loop.
+//
+// # Rebalancing
+//
+// Objects stay on the shard they were routed to at insert; Move and
+// Rebalance migrate them online. A move changes no logical database
+// state: versions, published change streams and every query result are
+// unaffected — the shard router fuzzer enforces that moves never lose,
+// duplicate, or re-verdict an object.
 type Store struct {
 	opts core.Options
+	part ShardFunc
 
 	mu      sync.RWMutex
-	db      uncertain.Database // private storage; detached from snapshots
-	index   *rtree.Tree[*uncertain.Object]
+	shards  []*shard
+	db      uncertain.Database // global database order; detached from snapshots
 	byID    map[int]*uncertain.Object
+	home    map[int]int // object ID -> shard index; nil with one shard
 	cache   *core.DecompCache
 	version uint64
 	snap    *Snapshot // published snapshot; nil after a mutation
@@ -60,8 +95,9 @@ type Store struct {
 	obs *Metrics
 
 	// journal, when non-nil, makes the store durable: every commit is
-	// journaled before it is applied (see OpenStore). closed rejects
-	// mutations after Close — they could no longer be journaled.
+	// journaled on its shard before it is applied (see OpenStore).
+	// closed rejects mutations after Close — they could no longer be
+	// journaled.
 	journal *storeJournal
 	closed  bool
 
@@ -69,22 +105,63 @@ type Store struct {
 	nextWatcher int
 }
 
-// NewStore builds a store over db (objects must have unique IDs; the
-// slice is copied, the objects are shared and must not be mutated). The
-// index is STR bulk-loaded in O(n log n). Opts configures every query
-// the store serves, like Engine.Opts; Opts.SharedDecomps must be left
-// unset — the store manages its own persistent cache.
+// shard is the per-partition state of a store: the R-tree over the
+// objects homed on it and its mutation epoch.
+type shard struct {
+	index *rtree.Tree[*uncertain.Object]
+	// version counts every mutation applied to the shard, migrations
+	// included; it is the shard's entry in a snapshot's version vector
+	// and the epoch its journal records carry.
+	version uint64
+	// view is the published immutable view of the shard (nil after a
+	// mutation); while set, index is shared with a snapshot and must be
+	// cloned before it is mutated.
+	view *shardView
+}
+
+// detach makes the shard's index private before a mutation.
+func (sh *shard) detach() {
+	if sh.view != nil {
+		sh.index = sh.index.Clone()
+		sh.view = nil
+	}
+}
+
+// publish returns the immutable view of the shard's current state.
+func (sh *shard) publish() *shardView {
+	if sh.view == nil {
+		sh.view = &shardView{index: sh.index, version: sh.version}
+	}
+	return sh.view
+}
+
+// ShardedOptions configures the shard layout of a store.
+type ShardedOptions struct {
+	// Shards is the shard count; <= 0 selects 1 (on reopen, the count
+	// recorded in the store's manifest).
+	Shards int
+	// Partition routes objects to shards; nil selects HashShards.
+	Partition ShardFunc
+}
+
+// NewStore builds a one-shard store over db (objects must have unique
+// IDs; the slice is copied, the objects are shared and must not be
+// mutated). The index is STR bulk-loaded in O(n log n). Opts configures
+// every query the store serves, like Engine.Opts; Opts.SharedDecomps
+// must be left unset — the store manages its own persistent cache.
 func NewStore(db uncertain.Database, opts core.Options) (*Store, error) {
+	return NewShardedStore(db, ShardedOptions{}, opts)
+}
+
+// NewShardedStore builds a store over db partitioned across
+// sopts.Shards shards (see NewStore for the database contract). Shards
+// are STR bulk-loaded concurrently.
+func NewShardedStore(db uncertain.Database, sopts ShardedOptions, opts core.Options) (*Store, error) {
 	if opts.SharedDecomps != nil {
 		return nil, fmt.Errorf("store: Options.SharedDecomps must be unset (the store manages its own cache)")
 	}
-	s := &Store{
-		opts:  opts,
-		db:    make(uncertain.Database, 0, len(db)),
-		byID:  make(map[int]*uncertain.Object, len(db)),
-		cache: core.NewDecompCache(opts.MaxHeight),
-		obs:   NewMetrics(),
-	}
+	s := newStore(sopts, opts, len(db))
+	s.db = make(uncertain.Database, 0, len(db))
 	for _, o := range db {
 		if o == nil {
 			return nil, fmt.Errorf("store: nil object")
@@ -93,11 +170,107 @@ func NewStore(db uncertain.Database, opts core.Options) (*Store, error) {
 			return nil, fmt.Errorf("store: duplicate object ID %d", o.ID)
 		}
 		s.byID[o.ID] = o
+		if s.home != nil {
+			s.home[o.ID] = s.shardFor(o)
+		}
 		s.db = append(s.db, o)
 		s.cache.Add(o)
 	}
-	s.index = bulkIndex(s.db)
+	s.buildIndexes()
 	return s, nil
+}
+
+// newStore allocates an empty store skeleton with the given layout.
+func newStore(sopts ShardedOptions, opts core.Options, capacity int) *Store {
+	n := sopts.Shards
+	if n <= 0 {
+		n = 1
+	}
+	part := sopts.Partition
+	if part == nil {
+		part = HashShards
+	}
+	s := &Store{
+		opts:   opts,
+		part:   part,
+		shards: make([]*shard, n),
+		byID:   make(map[int]*uncertain.Object, capacity),
+		cache:  core.NewDecompCache(opts.MaxHeight),
+		obs:    NewMetrics(),
+	}
+	for i := range s.shards {
+		s.shards[i] = &shard{}
+	}
+	if n > 1 {
+		s.home = make(map[int]int, capacity)
+	}
+	return s
+}
+
+// buildIndexes STR bulk-loads every shard's R-tree from the global
+// order; shards build concurrently.
+func (s *Store) buildIndexes() {
+	if len(s.shards) == 1 {
+		s.shards[0].index = bulkIndex(s.db)
+		return
+	}
+	parts := make([]uncertain.Database, len(s.shards))
+	for _, o := range s.db {
+		si := s.home[o.ID]
+		parts[si] = append(parts[si], o)
+	}
+	var wg sync.WaitGroup
+	for i, sh := range s.shards {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sh.index = bulkIndex(parts[i])
+		}()
+	}
+	wg.Wait()
+}
+
+// shardFor routes an object, folding out-of-range partitioner results
+// back into [0, n).
+func (s *Store) shardFor(o *uncertain.Object) int {
+	n := len(s.shards)
+	i := s.part(o, n) % n
+	if i < 0 {
+		i += n
+	}
+	return i
+}
+
+// homeOf returns the home shard of a stored object.
+func (s *Store) homeOf(id int) int {
+	if s.home == nil {
+		return 0
+	}
+	return s.home[id]
+}
+
+// NumShards returns the shard count.
+func (s *Store) NumShards() int { return len(s.shards) }
+
+// ShardSizes returns the current number of objects per shard.
+func (s *Store) ShardSizes() []int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	sizes := make([]int, len(s.shards))
+	for i, sh := range s.shards {
+		sizes[i] = sh.index.Len()
+	}
+	return sizes
+}
+
+// ShardOf returns the home shard of the object with the given ID.
+func (s *Store) ShardOf(id int) (int, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if _, ok := s.byID[id]; !ok {
+		return 0, false
+	}
+	return s.homeOf(id), true
 }
 
 // Len returns the number of stored objects.
@@ -108,8 +281,8 @@ func (s *Store) Len() int {
 }
 
 // Version returns the mutation epoch: it increments on every
-// Insert/Delete/Update, and a Snapshot carries the epoch it was
-// published at.
+// Insert/Delete/Update (migrations leave it untouched), and a Snapshot
+// carries the epoch it was published at.
 func (s *Store) Version() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -155,34 +328,13 @@ func (k ChangeKind) String() string {
 // (same ID, distinct objects). Snap is the immutable database state
 // WITH the change applied — Snap.Version() == Version — so a consumer
 // replaying the change stream can evaluate every version exactly, even
-// when it lags behind the store head. Snap is a *Snapshot for Store
-// changes and a *ShardedSnapshot for ShardedStore changes.
+// when it lags behind the store head; its version vector localizes the
+// change to its shard.
 type Change struct {
 	Version  uint64
 	Kind     ChangeKind
 	Old, New *uncertain.Object
-	Snap     SnapshotView
-}
-
-// SnapshotView is the read side every snapshot publisher exposes: an
-// immutable database state with a version stamp and a snapshot-bound
-// query engine. *Snapshot (one Store) and *ShardedSnapshot (a
-// ShardedStore's consistent cut across all shards) both implement it,
-// which is what lets change-stream consumers — package cq's Monitor in
-// particular — run unmodified over either backend.
-type SnapshotView interface {
-	// Version returns the mutation epoch the snapshot was published at.
-	Version() uint64
-	// Len returns the number of objects in the snapshot.
-	Len() int
-	// DB returns a copy of the snapshot's object slice (objects shared,
-	// read-only).
-	DB() uncertain.Database
-	// Engine returns the snapshot-bound query engine; all queries on it
-	// evaluate against exactly this state.
-	Engine() *Engine
-	// BatchKNN evaluates many kNN queries pooled on this snapshot.
-	BatchKNN(ctx context.Context, reqs []KNNRequest) ([][]Match, error)
+	Snap     *Snapshot
 }
 
 // watcher is one registered commit hook.
@@ -202,9 +354,9 @@ type watcher struct {
 // must not call back into the Store — package cq's Monitor is the
 // intended consumer. While at least one watcher is registered every
 // mutation publishes a snapshot, so a write burst pays one copy-on-write
-// detach (an O(n) R-tree clone) per mutation instead of one per burst;
+// detach (an O(n/N) R-tree clone) per mutation instead of one per burst;
 // that is the price of a gapless per-version change stream.
-func (s *Store) Watch(fn func(Change)) (SnapshotView, func()) {
+func (s *Store) Watch(fn func(Change)) (*Snapshot, func()) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	id := s.nextWatcher
@@ -242,9 +394,10 @@ func (s *Store) notifyLocked(kind ChangeKind, old, new *uncertain.Object) {
 	}
 }
 
-// detachLocked makes the mutable state private again after a snapshot
-// was published: the published snapshot keeps the old slice and tree,
-// mutations proceed on copies. Requires s.mu held for writing.
+// detachLocked makes the global object slice private again after a
+// snapshot was published: the published snapshot keeps the old slice,
+// mutations proceed on a copy. Shard indexes detach on their own, when
+// a mutation touches them. Requires s.mu held for writing.
 func (s *Store) detachLocked() {
 	if s.snap == nil {
 		return
@@ -252,36 +405,30 @@ func (s *Store) detachLocked() {
 	db := make(uncertain.Database, len(s.db))
 	copy(db, s.db)
 	s.db = db
-	s.index = s.index.Clone()
 	s.snap = nil
 }
 
-// Insert adds a new object; the ID must not be in use. The object is
-// shared with the store and must not be mutated afterwards. On a
-// durable store the commit is journaled before it is applied; a
-// journaling error leaves the store unchanged. Under wal.SyncAlways the
-// commit is acknowledged only once a group fsync covers its record —
-// possibly a concurrent committer's fsync — waited for after the store
-// lock is released, so committers share fsyncs instead of serializing
-// on them. A group-fsync failure is reported after the commit was
-// applied in memory; the journal wedges and every later commit fails.
+// Insert adds a new object, routing it to its partition shard; the ID
+// must not be in use. The object is shared with the store and must not
+// be mutated afterwards. On a durable store the commit is journaled
+// before it is applied; a journaling error leaves the store unchanged.
+// Under wal.SyncAlways the commit is acknowledged only once every
+// commit up to and including it is covered by a group fsync on its
+// shard — possibly a concurrent committer's fsync — waited for after
+// the store lock is released, so committers share fsyncs instead of
+// serializing on them. A group-fsync failure is reported after the
+// commit was applied in memory; the journal wedges and every later
+// commit on that shard fails.
 func (s *Store) Insert(o *uncertain.Object) error {
-	return s.insertOp(context.Background(), o, wal.OpInsert, 0)
+	return s.InsertCtx(context.Background(), o)
 }
 
 // InsertCtx is Insert with a context: a trace attached via
 // obs.WithTrace records the commit's durability wait (the span between
-// journaling and the covering group fsync) as its WAL-wait phase. The
+// journaling and the covering group fsyncs) as its WAL-wait phase. The
 // context does not cancel the commit — a journaled commit always
 // applies.
 func (s *Store) InsertCtx(ctx context.Context, o *uncertain.Object) error {
-	return s.insertOp(ctx, o, wal.OpInsert, 0)
-}
-
-// insertOp is the insert body shared by the public path and the sharded
-// router (which passes the move op kinds and the router epoch for the
-// shard journals).
-func (s *Store) insertOp(ctx context.Context, o *uncertain.Object, op wal.Op, global uint64) error {
 	if o == nil {
 		return fmt.Errorf("store: nil object")
 	}
@@ -290,46 +437,44 @@ func (s *Store) insertOp(ctx context.Context, o *uncertain.Object, op wal.Op, gl
 		s.mu.Unlock()
 		return fmt.Errorf("store: duplicate object ID %d", o.ID)
 	}
-	seq, err := s.journalLocked(wal.Record{Op: op, Version: s.version + 1, Global: global, Obj: o})
+	si := s.shardFor(o)
+	ack, err := s.journalLocked(si, wal.Record{Op: wal.OpInsert, Global: s.version + 1, Obj: o})
 	if err != nil {
 		s.mu.Unlock()
 		return err
 	}
 	s.detachLocked()
-	s.addLocked(o)
+	s.db = append(s.db, o)
+	s.byID[o.ID] = o
+	if s.home != nil {
+		s.home[o.ID] = si
+	}
+	s.cache.Add(o)
+	s.shardInsertLocked(si, o)
 	s.version++
 	s.notifyLocked(ChangeInsert, nil, o)
 	s.maybeCheckpointLocked()
 	sj := s.journal
 	s.mu.Unlock()
-	return waitDurableTraced(ctx, sj, seq)
+	return sj.waitDurable(ctx, ack)
 }
 
-// waitDurableTraced is the post-lock durability wait of a commit,
-// measured into the context's trace (when one is attached) as the
-// WAL-wait phase. The wait itself is unconditional — tracing never
-// changes commit semantics.
-func waitDurableTraced(ctx context.Context, sj *storeJournal, seq uint64) error {
-	if sj == nil || seq == 0 {
-		return nil
-	}
-	tr := obs.TraceFrom(ctx)
-	if tr == nil {
-		return sj.waitDurable(seq)
-	}
-	start := time.Now()
-	err := sj.waitDurable(seq)
-	tr.AddWALWait(time.Since(start))
-	return err
+// shardInsertLocked links o into shard si's index. Requires s.mu held
+// for writing.
+func (s *Store) shardInsertLocked(si int, o *uncertain.Object) {
+	sh := s.shards[si]
+	sh.detach()
+	sh.index.Insert(o.MBR, o)
+	sh.version++
 }
 
-// addLocked links o into the slice, map, index and cache. Requires
-// s.mu held for writing and the state detached.
-func (s *Store) addLocked(o *uncertain.Object) {
-	s.byID[o.ID] = o
-	s.db = append(s.db, o)
-	s.index.Insert(o.MBR, o)
-	s.cache.Add(o)
+// shardDeleteLocked unlinks o from shard si's index. Requires s.mu held
+// for writing.
+func (s *Store) shardDeleteLocked(si int, o *uncertain.Object) {
+	sh := s.shards[si]
+	sh.detach()
+	sh.index.Delete(o.MBR, o)
+	sh.version++
 }
 
 // Delete removes the object with the given ID and reports whether one
@@ -337,7 +482,7 @@ func (s *Store) addLocked(o *uncertain.Object) {
 // DeleteErr; Delete itself keeps the boolean contract and leaves the
 // store unchanged when journaling fails.
 func (s *Store) Delete(id int) bool {
-	ok, _ := s.deleteOp(context.Background(), id, wal.OpDelete, 0)
+	ok, _ := s.DeleteErrCtx(context.Background(), id)
 	return ok
 }
 
@@ -347,56 +492,56 @@ func (s *Store) Delete(id int) bool {
 // under wal.SyncAlways, which is reported after the commit was applied
 // in memory (ok stays true and the journal wedges).
 func (s *Store) DeleteErr(id int) (bool, error) {
-	return s.deleteOp(context.Background(), id, wal.OpDelete, 0)
+	return s.DeleteErrCtx(context.Background(), id)
 }
 
 // DeleteErrCtx is DeleteErr with a context carrying an optional trace
 // (see InsertCtx).
 func (s *Store) DeleteErrCtx(ctx context.Context, id int) (bool, error) {
-	return s.deleteOp(ctx, id, wal.OpDelete, 0)
-}
-
-// deleteOp is the delete body shared by the public path and the sharded
-// router.
-func (s *Store) deleteOp(ctx context.Context, id int, op wal.Op, global uint64) (bool, error) {
 	s.mu.Lock()
 	o, ok := s.byID[id]
 	if !ok {
 		s.mu.Unlock()
 		return false, nil
 	}
-	seq, err := s.journalLocked(wal.Record{Op: op, Version: s.version + 1, Global: global, ID: id})
+	si := s.homeOf(id)
+	ack, err := s.journalLocked(si, wal.Record{Op: wal.OpDelete, Global: s.version + 1, ID: id})
 	if err != nil {
 		s.mu.Unlock()
 		return false, err
 	}
 	s.detachLocked()
-	s.removeLocked(o)
+	for i, x := range s.db {
+		if x == o {
+			s.db = append(s.db[:i], s.db[i+1:]...)
+			break
+		}
+	}
+	delete(s.byID, id)
+	delete(s.home, id)
+	s.cache.Invalidate(o)
+	s.shardDeleteLocked(si, o)
 	s.version++
 	s.notifyLocked(ChangeDelete, o, nil)
 	s.maybeCheckpointLocked()
 	sj := s.journal
 	s.mu.Unlock()
-	return true, waitDurableTraced(ctx, sj, seq)
+	return true, sj.waitDurable(ctx, ack)
 }
 
 // Update atomically replaces the object carrying o.ID with o: no query
 // ever observes the database with the old object gone and the new one
 // missing, or with both present. It returns an error when the ID is not
-// stored (use Insert for new objects).
+// stored (use Insert for new objects). The object keeps its home shard
+// (and its database-order position) even when the partitioner would
+// now route it elsewhere — use Rebalance to re-home drifted objects.
 func (s *Store) Update(o *uncertain.Object) error {
-	return s.updateOp(context.Background(), o, 0)
+	return s.UpdateCtx(context.Background(), o)
 }
 
 // UpdateCtx is Update with a context carrying an optional trace (see
 // InsertCtx).
 func (s *Store) UpdateCtx(ctx context.Context, o *uncertain.Object) error {
-	return s.updateOp(ctx, o, 0)
-}
-
-// updateOp is the update body shared by the public path and the sharded
-// router.
-func (s *Store) updateOp(ctx context.Context, o *uncertain.Object, global uint64) error {
 	if o == nil {
 		return fmt.Errorf("store: nil object")
 	}
@@ -406,24 +551,13 @@ func (s *Store) updateOp(ctx context.Context, o *uncertain.Object, global uint64
 		s.mu.Unlock()
 		return fmt.Errorf("store: update of unknown object ID %d", o.ID)
 	}
-	seq, err := s.journalLocked(wal.Record{Op: wal.OpUpdate, Version: s.version + 1, Global: global, Obj: o})
+	si := s.homeOf(o.ID)
+	ack, err := s.journalLocked(si, wal.Record{Op: wal.OpUpdate, Global: s.version + 1, Obj: o})
 	if err != nil {
 		s.mu.Unlock()
 		return err
 	}
 	s.detachLocked()
-	s.replaceLocked(old, o)
-	s.version++
-	s.notifyLocked(ChangeUpdate, old, o)
-	s.maybeCheckpointLocked()
-	sj := s.journal
-	s.mu.Unlock()
-	return waitDurableTraced(ctx, sj, seq)
-}
-
-// replaceLocked swaps old for o in the slice, map, index and cache.
-// Requires s.mu held for writing and the state detached.
-func (s *Store) replaceLocked(old, o *uncertain.Object) {
 	// Replace the slot in place: the object keeps its database-order
 	// position (query results are in database order) and the update
 	// avoids the O(n) slice shift of a remove-and-append.
@@ -434,29 +568,25 @@ func (s *Store) replaceLocked(old, o *uncertain.Object) {
 		}
 	}
 	s.byID[o.ID] = o
-	s.index.Delete(old.MBR, old)
-	s.index.Insert(o.MBR, o)
 	s.cache.Invalidate(old)
 	s.cache.Add(o)
-}
-
-// removeLocked unlinks o from the slice, map, index and cache.
-// Requires s.mu held for writing and the state detached.
-func (s *Store) removeLocked(o *uncertain.Object) {
-	for i, x := range s.db {
-		if x == o {
-			s.db = append(s.db[:i], s.db[i+1:]...)
-			break
-		}
-	}
-	delete(s.byID, o.ID)
-	s.index.Delete(o.MBR, o)
-	s.cache.Invalidate(o)
+	sh := s.shards[si]
+	sh.detach()
+	sh.index.Delete(old.MBR, old)
+	sh.index.Insert(o.MBR, o)
+	sh.version++
+	s.version++
+	s.notifyLocked(ChangeUpdate, old, o)
+	s.maybeCheckpointLocked()
+	sj := s.journal
+	s.mu.Unlock()
+	return sj.waitDurable(ctx, ack)
 }
 
 // Snapshot publishes (or returns the already-published) immutable view
-// of the current database state. Snapshots stay valid — and their
-// queries consistent — regardless of later mutations.
+// of the current database state: the global-order object slice plus one
+// immutable view per shard, all taken at the same epoch. Snapshots stay
+// valid — and their queries consistent — regardless of later mutations.
 func (s *Store) Snapshot() *Snapshot {
 	s.mu.RLock()
 	snap := s.snap
@@ -473,12 +603,16 @@ func (s *Store) Snapshot() *Snapshot {
 // state. Requires s.mu held for writing.
 func (s *Store) snapshotLocked() *Snapshot {
 	if s.snap == nil {
+		views := make([]*shardView, len(s.shards))
+		for i, sh := range s.shards {
+			views[i] = sh.publish()
+		}
 		s.snap = &Snapshot{
 			db:      s.db,
-			index:   s.index,
-			cache:   s.cache,
+			shards:  views,
 			version: s.version,
 			opts:    s.opts,
+			cache:   s.cache,
 			obs:     s.obs,
 		}
 	}
@@ -511,67 +645,111 @@ func (s *Store) SetSlowQueryThreshold(d time.Duration) {
 	s.obs.SetSlowQueryThreshold(d)
 }
 
-// WALStats returns a snapshot of the journal metrics of a durable
-// store (append/fsync/checkpoint counts and latencies); ok is false on
-// an in-memory store.
+// WALStats returns the journal metrics of a durable store
+// (append/fsync/checkpoint counts and latencies), merged across the
+// shard journals; ok is false on an in-memory store.
 func (s *Store) WALStats() (wal.MetricsSnapshot, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.journal == nil {
 		return wal.MetricsSnapshot{}, false
 	}
-	return s.journal.j.MetricsSnapshot(), true
+	var out wal.MetricsSnapshot
+	for _, j := range s.journal.wals {
+		out.Merge(j.MetricsSnapshot())
+	}
+	return out, true
 }
 
-// Snapshot is one immutable database state published by a Store. All
-// queries on one snapshot see exactly the same objects and share the
-// store's persistent decomposition cache through one overlay.
-type Snapshot struct {
-	db      uncertain.Database
+// shardView is one shard's immutable state inside a Snapshot.
+type shardView struct {
 	index   *rtree.Tree[*uncertain.Object]
-	cache   *core.DecompCache
 	version uint64
-	opts    core.Options
-	obs     *Metrics
-
-	engineOnce sync.Once
-	engine     *Engine
 
 	// Shard-stats cache (statsOnce): the index root MBR and whether
-	// every resident object certainly exists. A scatter-gather router
-	// probes these once per snapshot to decide whole shards wholesale —
-	// the snapshot is immutable, so the answers never go stale.
+	// every resident object certainly exists. The scatter-gather plane
+	// probes these once per view to decide whole shards wholesale — the
+	// view is immutable, so the answers never go stale.
 	statsOnce  sync.Once
 	rootMBR    geom.Rect
 	nonEmpty   bool
 	allCertain bool
 }
 
-// shardStats returns the cached root MBR, the all-certain flag and
-// whether the snapshot is non-empty.
-func (sn *Snapshot) shardStats() (geom.Rect, bool, bool) {
-	sn.statsOnce.Do(func() {
-		sn.rootMBR, sn.nonEmpty = sn.index.Bounds()
-		sn.allCertain = true
-		for _, o := range sn.db {
+// stats returns the cached root MBR, the all-certain flag and whether
+// the shard is non-empty.
+func (v *shardView) stats() (geom.Rect, bool, bool) {
+	v.statsOnce.Do(func() {
+		v.rootMBR, v.nonEmpty = v.index.Bounds()
+		v.allCertain = true
+		v.index.All(func(_ geom.Rect, o *uncertain.Object) {
 			if o.ExistenceProb() < 1 {
-				sn.allCertain = false
-				break
+				v.allCertain = false
 			}
-		}
+		})
 	})
-	return sn.rootMBR, sn.allCertain, sn.nonEmpty
+	return v.rootMBR, v.allCertain, v.nonEmpty
+}
+
+// Snapshot is one immutable, consistent database state published by a
+// Store: the global-order object slice, one R-tree per shard, the store
+// epoch and the per-shard version vector. All queries on one snapshot
+// see exactly the same objects and share the store's persistent
+// decomposition cache through one overlay.
+type Snapshot struct {
+	db      uncertain.Database
+	shards  []*shardView
+	version uint64
+	opts    core.Options
+	cache   *core.DecompCache
+	obs     *Metrics
+
+	engineOnce sync.Once
+	engine     *Engine
 }
 
 // Version returns the store mutation epoch the snapshot was published
 // at.
 func (sn *Snapshot) Version() uint64 { return sn.version }
 
+// VersionVector returns a copy of the per-shard versions at the cut —
+// the cursor a change-stream consumer uses to localize a change to the
+// one shard that advanced.
+func (sn *Snapshot) VersionVector() []uint64 {
+	vv := make([]uint64, len(sn.shards))
+	for i, v := range sn.shards {
+		vv[i] = v.version
+	}
+	return vv
+}
+
+// NumShards returns the shard count.
+func (sn *Snapshot) NumShards() int { return len(sn.shards) }
+
+// Shard returns the immutable one-shard snapshot of shard i: its
+// objects in global order, its R-tree, and its shard version as the
+// snapshot version. On a one-shard snapshot it is the snapshot itself.
+func (sn *Snapshot) Shard(i int) *Snapshot {
+	if len(sn.shards) == 1 {
+		return sn
+	}
+	v := sn.shards[i]
+	in := make(map[*uncertain.Object]bool, v.index.Len())
+	v.index.All(func(_ geom.Rect, o *uncertain.Object) { in[o] = true })
+	db := make(uncertain.Database, 0, len(in))
+	for _, o := range sn.db {
+		if in[o] {
+			db = append(db, o)
+		}
+	}
+	return &Snapshot{db: db, shards: []*shardView{v}, version: v.version, opts: sn.opts, cache: sn.cache, obs: sn.obs}
+}
+
 // Len returns the number of objects in the snapshot.
 func (sn *Snapshot) Len() int { return len(sn.db) }
 
-// DB returns a copy of the snapshot's object slice (the objects are
-// shared and must be treated as read-only).
+// DB returns a copy of the snapshot's object slice in global database
+// order (the objects are shared and must be treated as read-only).
 func (sn *Snapshot) DB() uncertain.Database {
 	db := make(uncertain.Database, len(sn.db))
 	copy(db, sn.db)
@@ -582,12 +760,21 @@ func (sn *Snapshot) DB() uncertain.Database {
 // it evaluate against this snapshot's state and reuse the store's
 // persistent decomposition cache (through per-query overlays); results
 // are bit-identical to a fresh Engine built from the same state, at any
-// Parallelism.
+// shard count and any Parallelism. A one-shard snapshot's engine
+// queries the shard's R-tree directly (Engine.Index); a multi-shard
+// one installs the scatter-gather plane: the candidate set comes from
+// the global-order slice, filter bounds are computed per shard and
+// merged canonically, refinement runs once per surviving candidate.
 func (sn *Snapshot) Engine() *Engine {
 	sn.engineOnce.Do(func() {
 		opts := sn.opts
 		opts.SharedDecomps = sn.cache
-		sn.engine = &Engine{DB: sn.db, Index: sn.index, Opts: opts, Obs: sn.obs}
+		sn.engine = &Engine{DB: sn.db, Opts: opts, Obs: sn.obs}
+		if len(sn.shards) == 1 {
+			sn.engine.Index = sn.shards[0].index
+		} else {
+			sn.engine.plane = &shardPlane{shards: sn.shards}
+		}
 	})
 	return sn.engine
 }
@@ -703,13 +890,7 @@ func (s *Store) BatchKNN(ctx context.Context, reqs []KNNRequest) ([][]Match, err
 
 // BatchKNN is Store.BatchKNN pinned to this snapshot.
 func (sn *Snapshot) BatchKNN(ctx context.Context, reqs []KNNRequest) ([][]Match, error) {
-	return batchKNN(sn.Engine(), ctx, reqs)
-}
-
-// batchKNN is the snapshot-agnostic batch body, shared by Snapshot and
-// ShardedSnapshot: the engine already carries the snapshot binding (and
-// the scatter-gather plane, for sharded snapshots).
-func batchKNN(e *Engine, ctx context.Context, reqs []KNNRequest) ([][]Match, error) {
+	e := sn.Engine()
 	tr, pooled := e.Obs.traceFor(ctx)
 	start := time.Now()
 	// One cache overlay for the whole batch: influence objects come from

@@ -255,3 +255,34 @@ func TestStoreAPIErrors(t *testing.T) {
 		t.Fatal("NewStore accepted a caller-supplied SharedDecomps cache")
 	}
 }
+
+// TestSnapshotEngineDataPlane pins the snapshot surface callers build
+// on: a one-shard snapshot's engine queries the shard's R-tree directly
+// (Index set, no scatter-gather plane) with the store's persistent
+// decomposition cache as Opts.SharedDecomps, a multi-shard one installs
+// the plane instead, and Watch hands back a snapshot at the store's
+// version.
+func TestSnapshotEngineDataPlane(t *testing.T) {
+	db := storeTestDB(t, 12, 5)
+	for _, shards := range []int{1, 3} {
+		s, err := NewShardedStore(db, ShardedOptions{Shards: shards}, core.Options{MaxIterations: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := s.Snapshot().Engine()
+		if e.Opts.SharedDecomps != s.cache {
+			t.Fatalf("%d shards: engine decomposition cache is not the store's", shards)
+		}
+		if one := shards == 1; (e.Index != nil) != one || (e.plane == nil) != one {
+			t.Fatalf("%d shards: engine Index set = %v, plane set = %v", shards, e.Index != nil, e.plane != nil)
+		}
+		if !s.Delete(db[0].ID) {
+			t.Fatal("delete failed")
+		}
+		snap, stop := s.Watch(func(Change) {})
+		if snap.Version() != s.Version() || snap.Version() != 1 {
+			t.Fatalf("%d shards: Watch snapshot at version %d, store at %d", shards, snap.Version(), s.Version())
+		}
+		stop()
+	}
+}

@@ -15,11 +15,11 @@ import (
 	"probprune/internal/uncertain"
 )
 
-// Backend is the store surface the server serves. Both *query.Store and
-// *query.ShardedStore satisfy it — the server adds a wire, never its
+// Backend is the store surface the server serves; *query.Store
+// satisfies it at any shard count. The server adds a wire, never its
 // own query semantics, so everything it answers is bit-identical to
 // calling the backend in process (the equivalence test tier enforces
-// this across both backends).
+// this over one-shard and multi-shard stores).
 type Backend interface {
 	cq.Source // Watch + Version, for the subscription monitor
 

@@ -19,6 +19,9 @@ import (
 
 var testOpts = core.Options{MaxIterations: 3}
 
+// The server serves a *query.Store at any shard count.
+var _ server.Backend = (*query.Store)(nil)
+
 // testObj builds a deterministic uncertain object: a small sample cloud
 // around a random center in [0,8)².
 func testObj(rng *rand.Rand, id int) *uncertain.Object {

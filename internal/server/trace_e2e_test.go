@@ -16,8 +16,8 @@ import (
 
 // TestTraceWireEquivalence: a KNN ... TRACE round trip over real TCP
 // returns the same query anatomy an in-process traced KNNCtx records —
-// the wire adds transport, not a different execution. Covered for both
-// the single Store and the ShardedStore backends.
+// the wire adds transport, not a different execution. Covered for a
+// one-shard and a four-shard Store.
 func TestTraceWireEquivalence(t *testing.T) {
 	db := testDB(11, 48)
 	q := testObj(rand.New(rand.NewSource(77)), -1)

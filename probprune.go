@@ -77,13 +77,14 @@
 //
 // # Sharding
 //
-// ShardedStore partitions a live store across N independent shards
-// behind a scatter-gather router. The paper's filter bounds merge
-// exactly across partitions (dominator counts sum, influence sets
-// concatenate in canonical order), so sharded results are bit-identical
-// to an unsharded Store at any shard count, while each mutation pays
-// only its home shard's copy-on-write detach and Move/Rebalance migrate
-// objects online without disturbing queries or change streams:
+// A Store has a shard count: NewStore builds the one-shard case,
+// NewShardedStore partitions the store across N shards behind a
+// scatter-gather router. The paper's filter bounds merge exactly across
+// partitions (dominator counts sum, influence sets concatenate in
+// canonical order), so results are bit-identical at any shard count,
+// while each mutation pays only its home shard's R-tree clone and
+// Move/Rebalance migrate objects online without disturbing queries or
+// change streams:
 //
 //	sharded, _ := probprune.NewShardedStore(db,
 //	    probprune.ShardedOptions{Shards: 8}, probprune.Options{})
@@ -93,11 +94,13 @@
 //
 // # Durability
 //
-// Stores opened with BootstrapStore/OpenStore (and their sharded
-// twins) journal every commit to a segmented, CRC-framed write-ahead
-// log before it applies, and compact the log into checkpoint snapshots
-// persisting the database and the decomposition cache. Reopening after
-// a crash recovers bit-identically, stopping cleanly at the last
+// Stores opened with BootstrapStore/OpenStore (or the sharded
+// constructors) journal every commit to a per-shard segmented,
+// CRC-framed write-ahead log before it applies, and compact the logs
+// into checkpoint snapshots persisting the database and the
+// decomposition cache. Every store directory has one layout — a
+// MANIFEST plus one journal per shard under shard-i/ — and reopening
+// after a crash recovers bit-identically, stopping cleanly at the last
 // intact record:
 //
 //	popts := probprune.PersistOptions{Dir: "data/db", CheckpointEvery: 4096}
@@ -334,8 +337,8 @@ func NewStore(db Database, opts Options) (*Store, error) {
 }
 
 // Durability: stores opened with OpenStore/OpenShardedStore journal
-// every commit to a segmented, CRC-framed write-ahead log before the
-// copy-on-write publish, and periodically compact the log into
+// every commit to a per-shard segmented, CRC-framed write-ahead log
+// before the copy-on-write publish, and periodically compact the logs into
 // checkpoint snapshots that persist the object database AND the
 // decomposition cache. Reopening recovers bit-identically — same
 // versions, same database order, same query answers — stopping cleanly
@@ -372,51 +375,39 @@ func BootstrapStore(db Database, popts PersistOptions, opts Options) (*Store, er
 	return query.BootstrapStore(db, popts, opts)
 }
 
-// OpenShardedStore opens (or initializes) a durable sharded store: one
-// journal per shard plus a manifest with the version vector; shards
-// recover in parallel and the router merges their logical records to
-// rebuild the exact global order. sopts.Partition must be the
-// partitioner the store was created with.
-func OpenShardedStore(popts PersistOptions, sopts ShardedOptions, opts Options) (*ShardedStore, error) {
+// OpenShardedStore opens (or initializes) a durable store with sopts'
+// layout: one journal per shard plus a manifest with the version
+// vector; shards recover in parallel and the store merges their logical
+// records to rebuild the exact global order. sopts.Partition must be
+// the partitioner the store was created with.
+func OpenShardedStore(popts PersistOptions, sopts ShardedOptions, opts Options) (*Store, error) {
 	return query.OpenShardedStore(popts, sopts, opts)
 }
 
-// BootstrapShardedStore creates a new durable sharded store over db at
-// popts.Dir. It refuses a directory that already holds a manifest (use
-// OpenShardedStore).
-func BootstrapShardedStore(db Database, popts PersistOptions, sopts ShardedOptions, opts Options) (*ShardedStore, error) {
+// BootstrapShardedStore creates a new durable store over db at
+// popts.Dir with sopts' shard layout. It refuses a directory that
+// already holds a store (use OpenShardedStore).
+func BootstrapShardedStore(db Database, popts PersistOptions, sopts ShardedOptions, opts Options) (*Store, error) {
 	return query.BootstrapShardedStore(db, popts, sopts, opts)
 }
 
-// Sharded store: N independent Store shards behind a scatter-gather
-// router (see internal/query.ShardedStore and the README's "Sharding"
-// section for the bound-merge argument).
+// Shard layout of a Store (see internal/query.Store and the README's
+// "Sharding" section for the bound-merge argument).
 type (
-	// ShardedStore partitions a live store across N shards, each a full
-	// Store with its own R-tree, decomposition cache and copy-on-write
-	// snapshots. Queries scatter the paper's filter bounds per shard,
-	// merge them canonically and refine once per surviving candidate —
-	// results are bit-identical to an unsharded Store at any shard
-	// count. Mutations pay the O(n/N) detach of their home shard only;
-	// Move/Rebalance migrate objects online.
-	ShardedStore = query.ShardedStore
-	// ShardedSnapshot is one immutable, consistent cut across all
-	// shards of a ShardedStore, with a per-shard version vector.
-	ShardedSnapshot = query.ShardedSnapshot
-	// ShardedOptions configures shard count and the partitioner of a
-	// ShardedStore.
+	// ShardedOptions configures the shard count and the partitioner of
+	// a Store.
 	ShardedOptions = query.ShardedOptions
 	// ShardFunc deterministically routes an object to one of n shards.
 	ShardFunc = query.ShardFunc
-	// SnapshotView is the read side every snapshot publisher exposes;
-	// *StoreSnapshot and *ShardedSnapshot both implement it.
-	SnapshotView = query.SnapshotView
 )
 
-// NewShardedStore builds a sharded live store over db (unique object
-// IDs required; shards are STR bulk-loaded concurrently). The zero
+// NewShardedStore builds a live store over db partitioned across
+// sopts.Shards shards (unique object IDs required; shards are STR
+// bulk-loaded concurrently). Queries scatter the paper's filter bounds
+// per shard, merge them canonically and refine once per surviving
+// candidate — results are bit-identical to a one-shard Store. The zero
 // ShardedOptions selects one shard and hash partitioning.
-func NewShardedStore(db Database, sopts ShardedOptions, opts Options) (*ShardedStore, error) {
+func NewShardedStore(db Database, sopts ShardedOptions, opts Options) (*Store, error) {
 	return query.NewShardedStore(db, sopts, opts)
 }
 
@@ -461,8 +452,8 @@ type (
 	Change = query.Change
 	// ChangeKind distinguishes insert, update and delete changes.
 	ChangeKind = query.ChangeKind
-	// MonitorSource is the store side a Monitor consumes; *Store and
-	// *ShardedStore both satisfy it.
+	// MonitorSource is the store side a Monitor consumes; *Store
+	// satisfies it at any shard count.
 	MonitorSource = cq.Source
 )
 
@@ -493,9 +484,9 @@ var (
 	ErrCursorMismatch = cq.ErrCursorMismatch
 )
 
-// NewMonitor attaches a continuous-query monitor to a store — a Store
-// or a ShardedStore (merged multi-shard change stream, tracked by a
-// version-vector cursor). Register standing queries with
+// NewMonitor attaches a continuous-query monitor to a store (the merged
+// change stream of all its shards, tracked by a version-vector cursor).
+// Register standing queries with
 // SubscribeKNN/SubscribeRKNN, release with Close.
 func NewMonitor(store MonitorSource, opts MonitorOptions) *Monitor {
 	return cq.NewMonitor(store, opts)

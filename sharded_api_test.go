@@ -9,9 +9,9 @@ import (
 	"probprune"
 )
 
-// A ShardedStore partitions the database across independent shards and
+// A multi-shard Store partitions the database across shards and
 // answers every query by scatter-gather with canonical bound merging —
-// bit-identical to an unsharded Store over the same state.
+// bit-identical to a one-shard Store over the same state.
 func ExampleNewShardedStore() {
 	db := probprune.Database{
 		probprune.PointObject(1, probprune.Point{1, 0}),
@@ -37,7 +37,7 @@ func ExampleNewShardedStore() {
 
 // Rebalance re-homes objects whose spatial stripe drifted under
 // updates, online and without changing any query result.
-func ExampleShardedStore_Rebalance() {
+func ExampleStore_Rebalance() {
 	db := probprune.Database{
 		probprune.PointObject(1, probprune.Point{1, 0}),
 		probprune.PointObject(2, probprune.Point{2, 0}),
@@ -114,16 +114,12 @@ func TestShardedStoreFacade(t *testing.T) {
 		t.Fatalf("watch delivered %d changes, want 6", len(changes))
 	}
 	for i, ch := range changes {
-		ss, ok := ch.Snap.(*probprune.ShardedSnapshot)
-		if !ok {
-			t.Fatalf("change %d snapshot is %T, want *ShardedSnapshot", i, ch.Snap)
-		}
-		if got := ss.VersionVector(); len(got) != 3 {
+		if got := ch.Snap.VersionVector(); len(got) != 3 {
 			t.Fatalf("change %d version vector has %d entries", i, len(got))
 		}
 	}
 
-	// Scatter-gather results stay bit-identical to the unsharded store.
+	// Scatter-gather results stay bit-identical to the one-shard store.
 	if want, got := store.KNN(q, 3, 0.3), sharded.KNN(q, 3, 0.3); !reflect.DeepEqual(want, got) {
 		t.Fatal("sharded KNN diverges from Store after mutations")
 	}
