@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -236,5 +237,98 @@ func TestKillPointShardedCheckpointInstall(t *testing.T) {
 			}
 		}
 		r.Close()
+	}
+}
+
+// TestKillPointBootstrapInstall crashes a bootstrap at every step of
+// its genesis install — each shard's checkpoint install, the manifest,
+// the marker removal — at one and at two shards. Every crash image must
+// open: as a fresh store before the manifest landed (and a retried
+// bootstrap then holds the full database), or holding the full
+// database after.
+func TestKillPointBootstrapInstall(t *testing.T) {
+	db, _ := traceCase(t, 16, false)
+	opts := core.Options{MaxIterations: 2}
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "db")
+			sopts := ShardedOptions{Shards: shards}
+			s, job, err := prepareBootstrap(db, PersistOptions{Dir: dir}, sopts, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snaps := map[string]string{}
+			snapshot := func(step string) {
+				dst := t.TempDir()
+				copyTree(t, dir, dst)
+				snaps[step] = dst
+			}
+			snapshot("begin")
+			for i, j := range s.journal.wals {
+				shard := i
+				j.SetInstallHook(func(step string) {
+					snapshot(fmt.Sprintf("shard-%d:%s", shard, step))
+				})
+			}
+			if err := s.journal.installGenesis(job); err != nil {
+				t.Fatal(err)
+			}
+			snapshot("done")
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			// The image between the manifest save and the marker removal.
+			snapshot("manifest")
+			if err := os.WriteFile(filepath.Join(snaps["manifest"], bootstrapMarker), nil, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if len(snaps) < 3+4*shards {
+				t.Fatalf("only %d crash images captured", len(snaps))
+			}
+
+			full := func(step string, r *Store) {
+				t.Helper()
+				if r.Len() != len(db) {
+					t.Fatalf("%s: %d objects, want %d", step, r.Len(), len(db))
+				}
+				for _, o := range db {
+					if _, ok := r.Get(o.ID); !ok {
+						t.Fatalf("%s: object %d lost", step, o.ID)
+					}
+				}
+			}
+			for step, sdir := range snaps {
+				_, err := os.Stat(filepath.Join(sdir, manifestName))
+				committed := err == nil
+				retry := t.TempDir() // the image again, for a retried bootstrap
+				copyTree(t, sdir, retry)
+				r, err := OpenStore(PersistOptions{Dir: sdir}, opts)
+				if err != nil {
+					t.Fatalf("%s: open: %v", step, err)
+				}
+				if committed {
+					full(step, r)
+					if r.NumShards() != shards {
+						t.Fatalf("%s: reopened with %d shards, want %d", step, r.NumShards(), shards)
+					}
+				} else if r.Len() != 0 {
+					t.Fatalf("%s: uncommitted bootstrap reopened with %d objects, want a fresh store", step, r.Len())
+				}
+				if err := r.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if committed {
+					continue
+				}
+				b, err := BootstrapShardedStore(db, PersistOptions{Dir: retry}, sopts, opts)
+				if err != nil {
+					t.Fatalf("%s: retried bootstrap: %v", step, err)
+				}
+				full(step+" retried", b)
+				if err := b.Close(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -25,7 +26,7 @@ type PersistOptions struct {
 	// Dir is the store directory (created if absent). It holds a
 	// MANIFEST carrying the store epoch, the version vector and the
 	// global order, plus one journal subdirectory per shard (shard-0,
-	// shard-1, ...).
+	// shard-1, ...); while a bootstrap runs, also a BOOTSTRAP marker.
 	Dir string
 	// Sync is the fsync policy for journaled commits; the zero value is
 	// wal.SyncOS (no explicit fsync).
@@ -439,48 +440,135 @@ func BootstrapStore(db uncertain.Database, popts PersistOptions, opts core.Optio
 // object is written once. It fails when the directory already holds a
 // store (use OpenShardedStore).
 func BootstrapShardedStore(db uncertain.Database, popts PersistOptions, sopts ShardedOptions, opts core.Options) (*Store, error) {
-	if m, err := wal.LoadManifest(filepath.Join(popts.Dir, manifestName)); err != nil {
+	s, job, err := prepareBootstrap(db, popts, sopts, opts)
+	if err != nil {
 		return nil, err
+	}
+	if err := s.journal.installGenesis(job); err != nil {
+		closeLogs(s.journal.wals)
+		return nil, err
+	}
+	return s, nil
+}
+
+// bootstrapMarker is the file a bootstrap holds in the store directory
+// from before it creates the first shard journal until its manifest
+// lands. Shard journals next to it and no manifest are the debris of a
+// bootstrap that crashed before its commit point; shard journals with
+// neither file are data whose manifest was lost, which is never
+// deleted.
+const bootstrapMarker = "BOOTSTRAP"
+
+// prepareBootstrap checks popts.Dir is free for a new store (clearing
+// the debris of an interrupted bootstrap), marks the bootstrap in
+// progress, and returns the store over db with fresh shard journals
+// attached and its genesis checkpoint pinned for installGenesis.
+func prepareBootstrap(db uncertain.Database, popts PersistOptions, sopts ShardedOptions, opts core.Options) (*Store, *ckptJob, error) {
+	if m, err := wal.LoadManifest(filepath.Join(popts.Dir, manifestName)); err != nil {
+		return nil, nil, err
 	} else if m != nil {
-		return nil, fmt.Errorf("store: %s already holds a journal (open it instead of bootstrapping)", popts.Dir)
+		return nil, nil, fmt.Errorf("store: %s already holds a journal (open it instead of bootstrapping)", popts.Dir)
 	}
 	if legacy, _ := filepath.Glob(filepath.Join(popts.Dir, "wal-*.log")); len(legacy) > 0 {
-		return nil, fmt.Errorf("store: %s holds an unsharded journal written by an older build, which cannot be reopened", popts.Dir)
+		return nil, nil, fmt.Errorf("store: %s holds an unsharded journal written by an older build, which cannot be reopened", popts.Dir)
 	}
-	// The manifest install below is the commit point of a bootstrap:
-	// shard journals without a manifest are the debris of a bootstrap
-	// that crashed half way (the store was never handed to a caller)
-	// and would otherwise wedge the directory — newEmptyJournal refuses
-	// them, and open routes back here. Clear them and start over.
-	if stale, err := filepath.Glob(filepath.Join(popts.Dir, "shard-*")); err == nil {
+	stale, _ := filepath.Glob(filepath.Join(popts.Dir, "shard-*"))
+	if _, err := os.Stat(filepath.Join(popts.Dir, bootstrapMarker)); err == nil {
 		for _, dir := range stale {
-			os.RemoveAll(dir)
+			if err := os.RemoveAll(dir); err != nil {
+				return nil, nil, fmt.Errorf("store: clearing an interrupted bootstrap: %w", err)
+			}
+		}
+	} else {
+		for _, dir := range stale {
+			if has, err := journalHasData(dir); err != nil {
+				return nil, nil, err
+			} else if has {
+				return nil, nil, fmt.Errorf("store: %s holds shard journals but no %s (restore the manifest, or move the directory away)", popts.Dir, manifestName)
+			}
 		}
 	}
 	s, err := NewShardedStore(db, sopts, opts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	if err := createDurable(filepath.Join(popts.Dir, bootstrapMarker)); err != nil {
+		return nil, nil, err
 	}
 	wals := make([]*wal.Journal, 0, len(s.shards))
 	for i := range s.shards {
 		j, err := newEmptyJournal(shardDir(popts.Dir, i), popts)
 		if err != nil {
 			closeLogs(wals)
-			return nil, err
+			return nil, nil, err
 		}
 		wals = append(wals, j)
 	}
-	// The genesis state is durable before the store accepts a commit.
 	s.journal = newStoreJournal(popts, wals, s.obs)
 	job, err := s.pinCheckpointLocked()
-	if err == nil {
-		err = s.journal.install(job)
-	}
 	if err != nil {
 		closeLogs(wals)
-		return nil, err
+		return nil, nil, err
 	}
-	return s, nil
+	return s, job, nil
+}
+
+// installGenesis makes a bootstrap's pinned genesis state durable before
+// the store accepts a commit, in the reverse order of install: every
+// shard's checkpoint first, then the manifest — the commit point of the
+// bootstrap — and last the bootstrap marker is removed. Each object is
+// written once, in its home shard's checkpoint. A marker that outlives
+// the manifest (a crash right after it landed) is removed at open.
+func (sj *storeJournal) installGenesis(job *ckptJob) error {
+	for i, j := range sj.wals {
+		if err := j.InstallCheckpoint(job.pins[i], job.cks[i]); err != nil {
+			return err
+		}
+	}
+	if err := wal.SaveManifest(filepath.Join(sj.dir, manifestName), job.m); err != nil {
+		return err
+	}
+	sj.installedVersion = job.m.Version
+	return os.Remove(filepath.Join(sj.dir, bootstrapMarker))
+}
+
+// createDurable creates the empty file path (and its directory) and
+// fsyncs both, so the file survives a crash that follows.
+func createDurable(path string) error {
+	dir := filepath.Dir(path)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	err = f.Sync()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		var d *os.File
+		if d, err = os.Open(dir); err == nil {
+			err = d.Sync()
+			d.Close()
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	return nil
+}
+
+// journalHasData reports whether journal directory dir holds a
+// checkpoint or an intact record.
+func journalHasData(dir string) (bool, error) {
+	j, err := wal.Open(dir, wal.Options{})
+	if err != nil {
+		return false, err
+	}
+	defer j.Close()
+	return j.HasData()
 }
 
 // newEmptyJournal opens dir and verifies it holds no journal yet. The
@@ -545,42 +633,31 @@ func OpenShardedStore(popts PersistOptions, sopts ShardedOptions, opts core.Opti
 		return nil, fmt.Errorf("store: manifest has %d shards, options ask for %d", m.Shards, sopts.Shards)
 	}
 	sopts.Shards = m.Shards
-	logs := make([]*shardLog, m.Shards)
-	errs := make([]error, m.Shards)
-	var wg sync.WaitGroup
-	for i := range logs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			logs[i], errs[i] = readShardLog(shardDir(popts.Dir, i), popts)
-		}()
-	}
-	wg.Wait()
-	wals := make([]*wal.Journal, 0, len(logs))
-	for _, l := range logs {
-		if l != nil {
-			wals = append(wals, l.j)
-		}
-	}
+	os.Remove(filepath.Join(popts.Dir, bootstrapMarker)) // outlived its manifest
+	logs, err := readShardLogs(popts, m.Shards, m.Version, math.MaxUint64)
 	s := newStore(sopts, opts, 0)
-	s.journal = newStoreJournal(popts, wals, s.obs)
-	err = errors.Join(errs...)
 	if err == nil {
-		err = s.recover(m, logs)
+		s.journal = newStoreJournal(popts, logWals(logs), s.obs)
+		err = s.recover(m, logs, popts)
 	}
 	if err != nil {
-		closeLogs(wals)
+		closeLogs(logWals(logs))
 		return nil, err
 	}
 	return s, nil
 }
 
-// shardLog is one shard's journal as recovery reads it — checkpoint and
-// log tail — and the shard state replay rebuilds from them.
+// shardLog is one shard's journal as recovery reads it: the shard state
+// its checkpoint and log tail rebuild, streamed record by record so
+// superseded object versions are collected as replay goes.
 type shardLog struct {
-	j    *wal.Journal
-	ck   *wal.Checkpoint
-	recs []wal.Record // the log tail past the checkpoint, in log order
+	j  *wal.Journal
+	ck *wal.Checkpoint
+	// heads are the logical records past the manifest epoch, reduced to
+	// (Op, Global, ID) — what the merge of the global order needs.
+	heads []wal.Record
+	// last is the newest store epoch replayed.
+	last uint64
 
 	objs    map[int]*uncertain.Object
 	version uint64
@@ -589,78 +666,111 @@ type shardLog struct {
 	viaMoveIn map[int]bool
 }
 
-// readShardLog opens shard journal dir and reads its checkpoint and log
-// tail.
-func readShardLog(dir string, popts PersistOptions) (*shardLog, error) {
+// readShardLogs reads every shard's journal in parallel (see
+// readShardLog). On error the logs it did open are returned for
+// closing.
+func readShardLogs(popts PersistOptions, n int, since, cutoff uint64) ([]*shardLog, error) {
+	logs := make([]*shardLog, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range logs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			logs[i], errs[i] = readShardLog(shardDir(popts.Dir, i), popts, since, cutoff)
+		}()
+	}
+	wg.Wait()
+	return logs, errors.Join(errs...)
+}
+
+// logWals returns the journals of the opened shard logs.
+func logWals(logs []*shardLog) []*wal.Journal {
+	wals := make([]*wal.Journal, 0, len(logs))
+	for _, l := range logs {
+		if l != nil {
+			wals = append(wals, l.j)
+		}
+	}
+	return wals
+}
+
+// readShardLog opens shard journal dir and rebuilds the shard state
+// from its checkpoint and the log records with a store epoch up to
+// cutoff — a prefix of the log, since epochs never decrease along it —
+// keeping the heads of the logical records past epoch since.
+func readShardLog(dir string, popts PersistOptions, since, cutoff uint64) (*shardLog, error) {
 	j, err := wal.Open(dir, popts.wal())
 	if err != nil {
 		return nil, err
 	}
-	l := &shardLog{j: j, ck: j.Checkpoint()}
-	if err := j.Replay(func(rec wal.Record) error {
-		l.recs = append(l.recs, rec)
-		return nil
-	}); err != nil {
-		j.Close()
-		return nil, err
+	l := &shardLog{
+		j:         j,
+		ck:        j.Checkpoint(),
+		objs:      make(map[int]*uncertain.Object),
+		viaMoveIn: make(map[int]bool),
 	}
-	return l, nil
-}
-
-// replay rebuilds the shard state from the checkpoint and the log
-// records with a store epoch up to cutoff — a prefix of the log, since
-// epochs never decrease along it — and reports whether later records
-// were left out.
-func (l *shardLog) replay(cutoff uint64) (bool, error) {
-	l.objs = make(map[int]*uncertain.Object)
-	l.viaMoveIn = make(map[int]bool)
 	if l.ck != nil {
 		l.version = l.ck.Version
 		for _, o := range l.ck.Objects {
 			l.objs[o.ID] = o
 		}
 	}
-	for _, rec := range l.recs {
-		if rec.Global > cutoff {
-			return true, nil
+	past := false
+	if err := j.Replay(func(rec wal.Record) error {
+		if past = past || rec.Global > cutoff; past {
+			return nil
 		}
-		if rec.Version != l.version+1 {
-			return false, fmt.Errorf("store: journal record version %d after shard version %d", rec.Version, l.version)
+		l.last = rec.Global
+		if rec.Op.Logical() && rec.Global > since {
+			l.heads = append(l.heads, wal.Record{Op: rec.Op, Global: rec.Global, ID: rec.ObjectID()})
 		}
-		id := rec.ObjectID()
-		_, present := l.objs[id]
-		switch rec.Op {
-		case wal.OpInsert, wal.OpMoveIn:
-			if present {
-				return false, fmt.Errorf("store: journal re-inserts object ID %d", id)
-			}
-			l.objs[id] = rec.Obj
-		case wal.OpUpdate:
-			if !present {
-				return false, fmt.Errorf("store: journal updates unknown object ID %d", id)
-			}
-			l.objs[id] = rec.Obj
-		case wal.OpDelete, wal.OpMoveOut:
-			if !present {
-				return false, fmt.Errorf("store: journal deletes unknown object ID %d", id)
-			}
-			delete(l.objs, id)
-		default:
-			return false, fmt.Errorf("store: journal record with unknown op %d", rec.Op)
-		}
-		if rec.Op == wal.OpMoveIn {
-			l.viaMoveIn[id] = true
-		} else {
-			delete(l.viaMoveIn, id)
-		}
-		l.version = rec.Version
+		return l.apply(rec)
+	}); err != nil {
+		return l, err
 	}
-	return false, nil
+	return l, nil
+}
+
+// apply replays one log record onto the shard state.
+func (l *shardLog) apply(rec wal.Record) error {
+	if rec.Version != l.version+1 {
+		return fmt.Errorf("store: journal record version %d after shard version %d", rec.Version, l.version)
+	}
+	id := rec.ObjectID()
+	_, present := l.objs[id]
+	switch rec.Op {
+	case wal.OpInsert, wal.OpMoveIn:
+		if present {
+			return fmt.Errorf("store: journal re-inserts object ID %d", id)
+		}
+		l.objs[id] = rec.Obj
+	case wal.OpUpdate:
+		if !present {
+			return fmt.Errorf("store: journal updates unknown object ID %d", id)
+		}
+		l.objs[id] = rec.Obj
+	case wal.OpDelete, wal.OpMoveOut:
+		if !present {
+			return fmt.Errorf("store: journal deletes unknown object ID %d", id)
+		}
+		delete(l.objs, id)
+	default:
+		return fmt.Errorf("store: journal record with unknown op %d", rec.Op)
+	}
+	if rec.Op == wal.OpMoveIn {
+		l.viaMoveIn[id] = true
+	} else {
+		delete(l.viaMoveIn, id)
+	}
+	l.version = rec.Version
+	return nil
 }
 
 // recover builds the store state from the shard journals and the
-// manifest. Requires s.journal attached (recovery journals its repairs).
-func (s *Store) recover(m *wal.Manifest, logs []*shardLog) error {
+// manifest. Requires s.journal attached (recovery journals its repairs);
+// a shard log re-read up to a cutoff replaces its journal there.
+func (s *Store) recover(m *wal.Manifest, logs []*shardLog, popts PersistOptions) error {
 	// The logical commits past the manifest, merged across shards: each
 	// carries a unique store epoch, so the merge is total and
 	// deterministic. Acknowledged commits form a gapless run of epochs —
@@ -670,11 +780,8 @@ func (s *Store) recover(m *wal.Manifest, logs []*shardLog) error {
 	// another) were never acknowledged and are discarded.
 	var tail []wal.Record
 	for _, l := range logs {
-		for _, rec := range l.recs {
-			if rec.Op.Logical() && rec.Global > m.Version {
-				tail = append(tail, wal.Record{Op: rec.Op, Global: rec.Global, ID: rec.ObjectID()})
-			}
-		}
+		tail = append(tail, l.heads...)
+		l.heads = nil
 	}
 	sort.Slice(tail, func(a, b int) bool { return tail[a].Global < tail[b].Global })
 	version := m.Version
@@ -689,13 +796,27 @@ func (s *Store) recover(m *wal.Manifest, logs []*shardLog) error {
 		version = rec.Global
 	}
 	s.version = version
+	// A gap is rare (one shard's epochs are contiguous on its own log),
+	// so the logs were replayed whole; re-read those that ran past it up
+	// to the cutoff.
 	cut := false
 	for i, l := range logs {
-		c, err := l.replay(version)
+		if l.last <= version {
+			continue
+		}
+		cut = true
+		if err := l.j.Close(); err != nil {
+			return err
+		}
+		r, err := readShardLog(shardDir(popts.Dir, i), popts, version, version)
+		if logs[i] = r; r != nil {
+			s.journal.wals[i] = r.j
+		}
 		if err != nil {
 			return err
 		}
-		cut = cut || c
+	}
+	for i, l := range logs {
 		s.shards[i].version = l.version
 	}
 

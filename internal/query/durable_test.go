@@ -533,9 +533,12 @@ func TestBootstrapShardedInterrupted(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate the crash-before-commit-point: shard dirs exist, the
-	// manifest never made it.
+	// Simulate the crash-before-commit-point: shard dirs and the
+	// bootstrap marker exist, the manifest never made it.
 	if err := os.Remove(filepath.Join(popts.Dir, manifestName)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(popts.Dir, bootstrapMarker), nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	r, err := OpenShardedStore(popts, ShardedOptions{Shards: 2}, opts)
@@ -550,6 +553,34 @@ func TestBootstrapShardedInterrupted(t *testing.T) {
 	}
 	if _, err := BootstrapShardedStore(db, PersistOptions{Dir: popts.Dir}, ShardedOptions{Shards: 2}, opts); err == nil {
 		t.Fatal("bootstrap over the re-initialized manifest succeeded")
+	}
+}
+
+// TestLostManifestKeepsData: shard journals with neither a MANIFEST nor
+// a bootstrap marker are data whose manifest was lost, not debris —
+// open and bootstrap must refuse the directory and delete nothing.
+func TestLostManifestKeepsData(t *testing.T) {
+	db, _ := traceCase(t, 19, false)
+	opts := core.Options{MaxIterations: 2}
+	popts := PersistOptions{Dir: filepath.Join(t.TempDir(), "db")}
+	s, err := BootstrapStore(db, popts, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(popts.Dir, manifestName)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenStore(popts, opts); err == nil {
+		t.Fatal("open without a MANIFEST over shard data succeeded")
+	}
+	if _, err := BootstrapStore(db, popts, opts); err == nil {
+		t.Fatal("bootstrap over shard data without a MANIFEST succeeded")
+	}
+	if has, err := journalHasData(shardDir(popts.Dir, 0)); err != nil || !has {
+		t.Fatalf("shard journal after refused opens: has data %v, err %v", has, err)
 	}
 }
 
