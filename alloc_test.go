@@ -82,3 +82,27 @@ func TestStoreWarmKNNAllocCeilingRecorderArmed(t *testing.T) {
 	}
 	t.Logf("StoreWarmKNN recorder armed: %.0f allocs per query (ceiling 900)", allocs)
 }
+
+// TestInverseRankAllocCeiling: inverse ranking is the one query that
+// fans (B′, R′) partition pairs out over workers. At Parallelism 2 each
+// worker evaluates its pairs in a reusable arena, so the query stays
+// under 200 allocations (measured: 66) instead of paying one generating
+// function and one set of bound arrays per pair (about 44,000 when the
+// workers allocated them).
+func TestInverseRankAllocCeiling(t *testing.T) {
+	db, err := probprune.Synthetic(probprune.SyntheticConfig{N: 300, MaxExtent: 0.02, Samples: 64, Seed: 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := probprune.NewEngine(db, probprune.Options{MaxIterations: 5, Parallelism: 2})
+	b, r := db[0], db[1]
+	rd := e.InverseRank(b, r) // warm pools
+	allocs := testing.AllocsPerRun(3, func() {
+		e.InverseRank(b, r)
+	})
+	if allocs > 200 {
+		t.Fatalf("InverseRank allocated %.0f times per query, ceiling 200", allocs)
+	}
+	t.Logf("InverseRank at Parallelism 2: %.0f allocs per query over %d influence objects (ceiling 200)",
+		allocs, len(rd.Result.Influence))
+}

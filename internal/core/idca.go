@@ -67,10 +67,13 @@ type Options struct {
 	// MaxHeight limits decomposition tree height; <= 0 selects the
 	// uncertain package default.
 	MaxHeight int
-	// Parallelism > 1 evaluates (B', R') partition pairs on that many
-	// goroutines. Results are deterministic for a fixed value. The query
-	// engine consumes this knob at a higher level — as its candidate
-	// worker count — and runs each candidate's pairs sequentially.
+	// Parallelism > 1 deals each refinement level's (B', R') partition
+	// pairs round-robin to min(Parallelism, #pairs) workers (ForEach)
+	// and merges their sums in worker order. Results are deterministic
+	// for a fixed value; they differ from the sequential result (0 or
+	// 1) by float reassociation, not bit for bit. The query engine
+	// consumes this knob at a higher level — as its candidate worker
+	// count — and runs each candidate's pairs sequentially.
 	Parallelism int
 	// SharedTarget and SharedReference optionally supply pre-built,
 	// concurrency-safe decompositions (NewRefDecomp) of the run's target
@@ -102,11 +105,13 @@ type Options struct {
 	AdaptiveEps float64
 	// Scratch, when non-nil, supplies a reusable arena for the run's
 	// hot-path temporaries (generating functions, per-pair interval and
-	// bound buffers). Bounds are bit-identical with and without it. A
-	// Scratch may be reused by any number of sequential runs but must
-	// never be shared by concurrent ones; with Parallelism > 1 only the
-	// sequential parts of the run use it. Results remain valid after
-	// their scratch is reused — retained slices are never arena-backed.
+	// bound buffers); when nil, the run's refinement allocates a private
+	// one. Bounds are bit-identical with and without it. With
+	// Parallelism > 1 pair-loop worker 0 evaluates in it and the other
+	// workers in peer arenas it keeps for reuse. A Scratch may be
+	// reused by any number of sequential runs but must never be shared
+	// by concurrent ones. Results remain valid after their scratch is
+	// reused — retained slices are never arena-backed.
 	Scratch *Scratch
 }
 
@@ -424,9 +429,6 @@ func expandBounds(sc *Scratch, ivs []gf.Interval, kMax int) ([]gf.Interval, []gf
 // into the iteration totals and never retained. The returned slices are
 // invalidated by the next use of the scratch.
 func expandBoundsScratch(sc *Scratch, ivs []gf.Interval, kMax int) ([]gf.Interval, []gf.Interval) {
-	if sc == nil {
-		return expandBounds(nil, ivs, kMax)
-	}
 	f := scratchUGF(sc, kMax)
 	f.MultiplyAll(ivs)
 	bounds, cdf := sc.boundArrays(boundsHi(len(ivs), kMax))

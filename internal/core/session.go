@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"time"
 
 	"probprune/internal/domination"
@@ -80,6 +81,11 @@ func newSession(res *Result, aSrcs []partitionSource, opts Options) *Session {
 		s.done = true
 		return s
 	}
+	if s.opts.Scratch == nil {
+		// Refinement always runs in an arena; a caller that installs
+		// none gets a private one for the session's lifetime.
+		s.opts.Scratch = NewScratch()
+	}
 	s.bSrc = resolveSource(res.Target, opts.SharedTarget, opts)
 	s.rSrc = resolveSource(res.Reference, opts.SharedReference, opts)
 	return s
@@ -114,14 +120,7 @@ func (s *Session) Step() bool {
 	bParts := s.bSrc.PartitionsAtLevel(s.level)
 	rParts := s.rSrc.PartitionsAtLevel(s.level)
 	c := len(s.aSrcs)
-	var aParts [][]uncertain.Partition
-	var exist []float64
-	if sc := s.opts.Scratch; sc != nil {
-		aParts, exist = sc.partLists(c), sc.existSlice(c)
-	} else {
-		aParts = make([][]uncertain.Partition, c)
-		exist = make([]float64, c)
-	}
+	aParts, exist := s.opts.Scratch.partLists(c), s.opts.Scratch.existSlice(c)
 	eps := s.opts.adaptiveEps()
 	for i, t := range s.aSrcs {
 		if !s.opts.Adaptive || s.candWidth[i] > eps {
@@ -171,101 +170,90 @@ func refine(res *Result, aSrcs []partitionSource, opts Options) {
 // uncertain generating function, and combines the conditional bounds
 // weighted by P(B')·P(R') (Section IV-E). The third return value is
 // the aggregated per-candidate interval width (the adaptive signal).
+//
+// The pairs are dealt round-robin to w = min(Parallelism, #pairs)
+// workers through ForEach, each summing in its own arena (worker 0 in
+// Options.Scratch), and the per-worker sums merge in worker order. At
+// w = 1 that is the plain sequential sum; at any fixed w the result is
+// deterministic and differs from the sequential one only by float
+// reassociation.
 func iterate(n geom.Norm, opts Options, bParts, rParts []uncertain.Partition, aParts [][]uncertain.Partition, exist []float64) ([]gf.Interval, []gf.Interval, []float64) {
-	c := len(aParts)
 	sc := opts.Scratch
-	var pairs []brPair
-	if sc != nil {
-		pairs = sc.pairList(len(bParts) * len(rParts))
-	} else {
-		pairs = make([]brPair, 0, len(bParts)*len(rParts))
-	}
+	pairs := sc.pairList(len(bParts) * len(rParts))
 	for _, bp := range bParts {
 		for _, rp := range rParts {
 			pairs = append(pairs, brPair{b: bp, r: rp})
 		}
 	}
-
-	// The accumulators are retained by the caller (they become the
-	// Result's bounds), so they are allocated per step, never
-	// arena-backed.
+	c := len(aParts)
 	hi := boundsHi(c, opts.KMax)
-	accB := make([]gf.Interval, hi+1)
-	accC := make([]gf.Interval, hi+2)
-	accW := make([]float64, c)
-
-	// process evaluates one pair into the given arena (nil allocates)
-	// and returns the expanded bounds, valid until the next pair.
-	process := func(sc *Scratch, p brPair, ivs []gf.Interval) ([]gf.Interval, []gf.Interval) {
-		for i := range aParts {
-			ivs[i] = domination.BoundsWithExistence(n, opts.Criterion, aParts[i], exist[i], p.b.MBR, p.r.MBR)
-		}
-		return expandBoundsScratch(sc, ivs, opts.KMax)
+	l := &pairLevel{
+		norm:   n,
+		crit:   opts.Criterion,
+		kMax:   opts.KMax,
+		pairs:  pairs,
+		aParts: aParts,
+		exist:  exist,
+		arenas: sc.workerArenas(max(1, min(opts.Parallelism, len(pairs)))),
+		// Worker 0's accumulators are retained by the caller (they
+		// become the Result's bounds), so they are allocated per step,
+		// never arena-backed.
+		bounds: make([]gf.Interval, hi+1),
+		cdf:    make([]gf.Interval, hi+2),
+		widths: make([]float64, c),
 	}
-
-	workers := opts.Parallelism
-	if workers <= 1 || len(pairs) < 2 {
-		var ivs []gf.Interval
-		if sc != nil {
-			ivs = sc.intervals(c)
-		} else {
-			ivs = make([]gf.Interval, c)
-		}
-		for _, p := range pairs {
-			b, cd := process(sc, p, ivs)
-			w := p.b.Prob * p.r.Prob
-			addScaled(accB, b, w)
-			addScaled(accC, cd, w)
-			for i := range ivs {
-				accW[i] += w * ivs[i].Width()
-			}
-		}
-	} else {
-		type partial struct {
-			bounds []gf.Interval
-			cdf    []gf.Interval
-			widths []float64
-		}
-		partials := make([]partial, workers)
-		done := make(chan int, workers)
-		for w := 0; w < workers; w++ {
-			go func(w int) {
-				pb := make([]gf.Interval, hi+1)
-				pc := make([]gf.Interval, hi+2)
-				pw := make([]float64, c)
-				ivs := make([]gf.Interval, c)
-				for i := w; i < len(pairs); i += workers {
-					p := pairs[i]
-					// Workers never touch the caller's scratch; the arena
-					// is single-owner by contract.
-					b, cd := process(nil, p, ivs)
-					weight := p.b.Prob * p.r.Prob
-					addScaled(pb, b, weight)
-					addScaled(pc, cd, weight)
-					for j := range ivs {
-						pw[j] += weight * ivs[j].Width()
-					}
-				}
-				partials[w] = partial{bounds: pb, cdf: pc, widths: pw}
-				done <- w
-			}(w)
-		}
-		for w := 0; w < workers; w++ {
-			<-done
-		}
-		// Merge in worker order for determinism.
-		for w := 0; w < workers; w++ {
-			addScaled(accB, partials[w].bounds, 1)
-			addScaled(accC, partials[w].cdf, 1)
-			for i := range accW {
-				accW[i] += partials[w].widths[i]
-			}
+	ForEach(context.Background(), len(l.arenas), len(l.arenas), l.sum)
+	for _, a := range l.arenas[1:] {
+		addScaled(l.bounds, a.sumB, 1)
+		addScaled(l.cdf, a.sumC, 1)
+		for i := range l.widths {
+			l.widths[i] += a.sumW[i]
 		}
 	}
+	clampAll(l.bounds)
+	clampAll(l.cdf)
+	return l.bounds, l.cdf, l.widths
+}
 
-	clampAll(accB)
-	clampAll(accC)
-	return accB, accC, accW
+// pairLevel is the (B', R') pair loop of one refinement level, shared
+// read-only by its workers; worker j evaluates in arenas[j].
+type pairLevel struct {
+	norm   geom.Norm
+	crit   geom.Criterion
+	kMax   int
+	pairs  []brPair
+	aParts [][]uncertain.Partition
+	exist  []float64
+	arenas []*Scratch
+	// bounds, cdf and widths are worker 0's accumulators: the level's
+	// result.
+	bounds, cdf []gf.Interval
+	widths      []float64
+}
+
+// sum is the pair loop's one body: worker j sums pairs j, j+w, …,
+// weighted by P(B')·P(R'), into its accumulators — worker 0 straight
+// into the level's result, every other worker into its arena's.
+func (l *pairLevel) sum(j int) {
+	a := l.arenas[j]
+	bounds, cdf, widths := l.bounds, l.cdf, l.widths
+	if j > 0 {
+		bounds, cdf, widths = a.sums(len(bounds), len(widths))
+	}
+	ivs := a.intervals(len(l.aParts))
+	for i := j; i < len(l.pairs); i += len(l.arenas) {
+		p := l.pairs[i]
+		for k := range l.aParts {
+			ivs[k] = domination.BoundsWithExistence(l.norm, l.crit, l.aParts[k], l.exist[k], p.b.MBR, p.r.MBR)
+		}
+		b, cd := expandBoundsScratch(a, ivs, l.kMax)
+		w := p.b.Prob * p.r.Prob
+		addScaled(bounds, b, w)
+		addScaled(cdf, cd, w)
+		for k := range ivs {
+			widths[k] += w * ivs[k].Width()
+		}
+	}
 }
 
 // brPair is one (B', R') partition pair of a refinement level.

@@ -504,7 +504,8 @@ func (m *Monitor) saveCursor() error {
 	}
 	deferred := m.saveErr
 	m.saveErr = nil
-	err := m.writeCursor()
+	// The worker is the watermark's only writer, so it reads it unlocked.
+	err := m.writeCursor(m.processed, m.vv)
 	if err != nil {
 		m.cursorSaveFails.Add(1)
 	} else {
@@ -516,22 +517,21 @@ func (m *Monitor) saveCursor() error {
 	return err
 }
 
-// writeCursor rebuilds the durable cursor — the processed watermark
-// plus every named subscription's current result set — and persists it
-// through the cursor log. Names loaded from the previous cursor that
-// have not been re-subscribed yet are carried through unchanged — an
-// auto-save firing before the application re-attaches its
-// subscriptions must not erase their resume state.
+// writeCursor rebuilds the durable cursor — watermark v (with version
+// vector vv) plus every named subscription's current result set — and
+// persists it through the cursor log. Names loaded from the previous
+// cursor that have not been re-subscribed yet are carried through
+// unchanged — an auto-save firing before the application re-attaches
+// its subscriptions must not erase their resume state.
 //
 // The save appends a delta carrying only the subscriptions that woke
 // since the last successful save (plus forgotten names), and rewrites
 // the full base when the log wants compaction — or after a failed
 // save, when the on-disk log can no longer be assumed to hold what the
-// delta bookkeeping builds on. Worker-only.
-func (m *Monitor) writeCursor() error {
-	m.wmu.Lock()
-	c := &wal.Cursor{Version: m.processed, VV: m.vv}
-	m.wmu.Unlock()
+// delta bookkeeping builds on. When the log never opened, the save
+// fails with the open error. Worker-only.
+func (m *Monitor) writeCursor(v uint64, vv []uint64) error {
+	c := &wal.Cursor{Version: v, VV: vv}
 	ids := make([]int64, 0, len(m.subs))
 	for id := range m.subs {
 		ids = append(ids, id)
@@ -558,10 +558,7 @@ func (m *Monitor) writeCursor() error {
 	// dropSub's remember) work against the latest persisted view.
 	m.cursor = c
 	if m.clog == nil {
-		// The cursor log never opened (m.cursorErr). Fall back to an
-		// atomic full rewrite in the legacy format: it self-heals the
-		// file, and the next open migrates it back into a log.
-		return wal.SaveCursor(m.opts.CursorPath, c)
+		return fmt.Errorf("cq: cursor %s unreadable: %w", m.opts.CursorPath, m.cursorErr)
 	}
 	if m.forceFull || m.clog.ShouldCompact() {
 		if err := m.clog.WriteFull(c); err != nil {
@@ -762,13 +759,16 @@ func (m *Monitor) applyChange(ch query.Change) {
 		m.deliver(s, evs)
 	}
 	m.changes.Add(1)
-	m.advance(ch.Version, ch.Snap.VersionVector())
+	vv := ch.Snap.VersionVector()
 	if m.opts.CursorPath != "" && m.opts.CursorEvery > 0 {
 		if m.sinceSave++; m.sinceSave >= m.opts.CursorEvery {
-			// An auto-save failure is deferred, not dropped: the next
-			// SaveCursor or Close reports it, and the dirty bookkeeping
-			// is retained so nothing is lost from the next attempt.
-			if err := m.writeCursor(); err != nil {
+			// The save runs, and is counted, before the advance below
+			// wakes Sync and WaitVersion: a waiter on this version sees
+			// its save. An auto-save failure is deferred, not dropped:
+			// the next SaveCursor or Close reports it, and the dirty
+			// bookkeeping is retained so nothing is lost from the next
+			// attempt.
+			if err := m.writeCursor(ch.Version, vv); err != nil {
 				m.cursorSaveFails.Add(1)
 				if m.saveErr == nil {
 					m.saveErr = err
@@ -778,6 +778,7 @@ func (m *Monitor) applyChange(ch query.Change) {
 			}
 		}
 	}
+	m.advance(ch.Version, vv)
 }
 
 // SaveCursor persists the durable cursor now: every event delivered to

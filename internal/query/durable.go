@@ -672,15 +672,9 @@ type shardLog struct {
 func readShardLogs(popts PersistOptions, n int, since, cutoff uint64) ([]*shardLog, error) {
 	logs := make([]*shardLog, n)
 	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := range logs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			logs[i], errs[i] = readShardLog(shardDir(popts.Dir, i), popts, since, cutoff)
-		}()
-	}
-	wg.Wait()
+	core.ForEach(context.Background(), n, n, func(i int) {
+		logs[i], errs[i] = readShardLog(shardDir(popts.Dir, i), popts, since, cutoff)
+	})
 	return logs, errors.Join(errs...)
 }
 

@@ -1,10 +1,7 @@
 package query
 
 import (
-	"context"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"probprune/internal/core"
 	"probprune/internal/uncertain"
@@ -13,18 +10,23 @@ import (
 // This file implements the query executor: every multi-candidate query
 // (KNN, RKNN, expected-rank ranking, top-m) reduces to one independent
 // IDCA run per candidate, and the executor fans those runs out over a
-// worker pool — the concurrent serving model of production geospatial
-// engines (tile38-style), applied to the paper's per-candidate
-// filter-refinement loop.
+// worker pool (core.ForEach) — the concurrent serving model of
+// production geospatial engines (tile38-style), applied to the paper's
+// per-candidate filter-refinement loop.
 //
 // Concurrency contract. Each candidate's run is deterministic and
-// writes only its own result slot, so results are identical to the
-// sequential path regardless of worker count or completion order. The
-// operand shared across runs (the query object's decomposition) is a
-// core.RefDecomp, which synchronizes internally; the R-tree index is
-// only read. Candidate-level parallelism subsumes the pair-level
-// parallelism inside core, so per-candidate runs execute their
-// partition pairs sequentially (runOpts pins Parallelism to 1).
+// writes only its own result slot, so candidate queries return results
+// bit-identical to the sequential path regardless of worker count or
+// completion order. The operand shared across runs (the query object's
+// decomposition) is a core.RefDecomp, which synchronizes internally;
+// the R-tree index is only read. Candidate-level parallelism subsumes
+// the pair-level parallelism inside core, so per-candidate runs execute
+// their partition pairs sequentially (runOpts pins Parallelism to 1).
+// InverseRank, a single run with no candidates to fan out, is the
+// exception: it hands Options.Parallelism to core as the pair-loop
+// worker count, whose result is deterministic for a fixed value but
+// differs from the sequential one by float reassociation (0 and 1 run
+// the pairs sequentially).
 
 // parallelism resolves the engine's worker count: Options.Parallelism
 // when positive, otherwise GOMAXPROCS.
@@ -70,43 +72,6 @@ func (e *Engine) runOpts() core.Options {
 	// per-run (pooled) or per-session arena instead.
 	opts.Scratch = nil
 	return opts
-}
-
-// forEach runs fn(i) for every i in [0, n) on the given number of
-// workers, pulling indices from a shared counter. It stops handing out
-// new indices once ctx is cancelled (in-flight calls complete) and
-// returns ctx.Err() in that case. fn must confine its writes to
-// index-private state.
-func forEach(ctx context.Context, workers, n int, fn func(i int)) error {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			fn(i)
-		}
-		return nil
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	return ctx.Err()
 }
 
 // candidates returns the database objects a query over reference q runs

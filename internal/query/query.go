@@ -199,7 +199,7 @@ func (e *Engine) KNNCtx(ctx context.Context, q *uncertain.Object, k int, tau flo
 	e.Obs.countCandidates(len(j.cands))
 	tr.AddPrepare(time.Since(start))
 	evalStart := time.Now()
-	if err := forEach(ctx, e.parallelism(), len(j.cands), j.eval); err != nil {
+	if err := core.ForEach(ctx, e.parallelism(), len(j.cands), j.eval); err != nil {
 		return nil, err
 	}
 	tr.AddEval(time.Since(evalStart))
@@ -330,7 +330,7 @@ func (e *Engine) RKNNCtx(ctx context.Context, q *uncertain.Object, k int, tau fl
 	tr.AddPrepare(time.Since(start))
 	matches := make([]Match, len(cands))
 	evalStart := time.Now()
-	err := forEach(ctx, e.parallelism(), len(cands), func(i int) {
+	err := core.ForEach(ctx, e.parallelism(), len(cands), func(i int) {
 		m, pruned := e.evalRKNNCandidate(q, cands[i], k, tau, norm, cache)
 		matches[i] = m
 		countMatch(e.Obs, tr, m, pruned)
@@ -411,8 +411,9 @@ func (rd *RankDistribution) Bound(i int) gf.Interval {
 // with respect to reference r: the distribution of b's position in a
 // similarity ranking of the database w.r.t. r. As the one query with a
 // single IDCA run and no candidate fan-out, it applies
-// Options.Parallelism at the pair level inside that run (results are
-// deterministic for a fixed value, like core.Run).
+// Options.Parallelism at the pair level inside that run: results are
+// deterministic for a fixed value, like core.Run, and differ from the
+// sequential ones (0 or 1) by float reassociation.
 func (e *Engine) InverseRank(b, r *uncertain.Object) *RankDistribution {
 	start := time.Now()
 	opts := e.runOpts()
@@ -497,7 +498,7 @@ func (e *Engine) RankByExpectedRankCtx(ctx context.Context, q *uncertain.Object)
 	tr.AddPrepare(time.Since(start))
 	out := make([]Ranked, len(cands))
 	evalStart := time.Now()
-	err := forEach(ctx, e.parallelism(), len(cands), func(i int) {
+	err := core.ForEach(ctx, e.parallelism(), len(cands), func(i int) {
 		opts := e.runOpts()
 		opts.SharedDecomps = cache
 		res := e.run(cands[i], q, opts)

@@ -219,15 +219,10 @@ func (s *Store) buildIndexes() {
 		si := s.home[o.ID]
 		parts[si] = append(parts[si], o)
 	}
-	var wg sync.WaitGroup
-	for i, sh := range s.shards {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sh.index = bulkIndex(parts[i])
-		}()
-	}
-	wg.Wait()
+	n := len(s.shards)
+	core.ForEach(context.Background(), n, n, func(i int) {
+		s.shards[i].index = bulkIndex(parts[i])
+	})
 }
 
 // shardFor routes an object, folding out-of-range partitioner results
@@ -900,7 +895,7 @@ func (sn *Snapshot) BatchKNN(ctx context.Context, reqs []KNNRequest) ([][]Match,
 	// snapshot — so a large batch has no serial prefix.
 	cache := e.queryCache()
 	jobs := make([]*knnJob, len(reqs))
-	if err := forEach(ctx, e.parallelism(), len(reqs), func(i int) {
+	if err := core.ForEach(ctx, e.parallelism(), len(reqs), func(i int) {
 		jobs[i] = e.newKNNJob(reqs[i].Q, reqs[i].K, reqs[i].Tau, cache)
 	}); err != nil {
 		return nil, err
@@ -925,7 +920,7 @@ func (sn *Snapshot) BatchKNN(ctx context.Context, reqs []KNNRequest) ([][]Match,
 			flat = append(flat, func() { j.eval(i) })
 		}
 	}
-	if err := forEach(ctx, e.parallelism(), len(flat), func(i int) { flat[i]() }); err != nil {
+	if err := core.ForEach(ctx, e.parallelism(), len(flat), func(i int) { flat[i]() }); err != nil {
 		return nil, err
 	}
 	tr.AddEval(time.Since(evalStart))

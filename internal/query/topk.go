@@ -79,7 +79,7 @@ func (e *Engine) TopKNNCtx(ctx context.Context, q *uncertain.Object, k, m int) (
 	tr.AddPrepare(time.Since(start))
 	evalStart := time.Now()
 	cands := make([]*cand, len(objs))
-	err := forEach(ctx, e.parallelism(), len(objs), func(i int) {
+	err := core.ForEach(ctx, e.parallelism(), len(objs), func(i int) {
 		opts := e.runOpts()
 		opts.KMax = k
 		opts.SharedDecomps = cache
@@ -136,7 +136,7 @@ func (e *Engine) TopKNNCtx(ctx context.Context, q *uncertain.Object, k, m int) (
 		// Phase 2: step them all; sessions are independent, so the
 		// steps parallelize freely.
 		var progressed atomic.Bool
-		err := forEach(ctx, e.parallelism(), len(todo), func(j int) {
+		err := core.ForEach(ctx, e.parallelism(), len(todo), func(j int) {
 			c := cands[todo[j]]
 			if c.session.Step() {
 				progressed.Store(true)

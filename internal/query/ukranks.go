@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"probprune/internal/core"
 	"probprune/internal/gf"
 	"probprune/internal/uncertain"
 )
@@ -60,7 +61,7 @@ func (e *Engine) UKRanksCtx(ctx context.Context, q *uncertain.Object, k int) ([]
 	tr.AddPrepare(time.Since(start))
 	entries := make([]entry, len(cands))
 	evalStart := time.Now()
-	err := forEach(ctx, e.parallelism(), len(cands), func(i int) {
+	err := core.ForEach(ctx, e.parallelism(), len(cands), func(i int) {
 		b := cands[i]
 		opts := e.runOpts()
 		opts.KMax = k // ranks beyond k are irrelevant

@@ -357,6 +357,7 @@ func TestServerResumeGone(t *testing.T) {
 	member := aInit[0].Object.ID
 	wm := aInit[len(aInit)-1]
 	ac.Close() // park with the full ring delivered
+	waitParked(t, m, 1)
 
 	if found, err := m.Delete(member); err != nil || !found {
 		t.Fatalf("delete: found=%v err=%v", found, err)
@@ -364,6 +365,7 @@ func TestServerResumeGone(t *testing.T) {
 	if _, err := m.WaitVersion(store.Version()); err != nil {
 		t.Fatal(err)
 	}
+	waitPumped(t, m)
 
 	bc := dial(t, addr)
 	if _, err := bc.Resume("g", 0, 0, named); !client.IsCode(err, "GONE") {
@@ -437,6 +439,7 @@ func TestServerDropOldest(t *testing.T) {
 	member := aInit[0].Object.ID
 	memberObj, _ := store.Get(member)
 	ac.Close()
+	waitParked(t, m, 1)
 
 	// Churn far past the ring while parked: E delivered events evict
 	// silently, then dropoldest starts shedding and counting.
@@ -451,6 +454,7 @@ func TestServerDropOldest(t *testing.T) {
 	if _, err := m.WaitVersion(store.Version()); err != nil {
 		t.Fatal(err)
 	}
+	waitPumped(t, m)
 
 	bc := dial(t, addr)
 	b, err := bc.Resume("shed", 0, 0, named)
@@ -512,6 +516,7 @@ func TestServerSlowTermination(t *testing.T) {
 	member := aInit[0].Object.ID
 	memberObj, _ := store.Get(member)
 	ac.Close()
+	waitParked(t, m, 1)
 
 	// The parked ring absorbs at most E new events (evicting the
 	// delivered ones); churn past that terminates the session.

@@ -78,6 +78,51 @@ func dial(t *testing.T, addr string) *client.Client {
 	return c
 }
 
+// waitStats polls STATS through cl until ok accepts a reply, failing
+// the test with what after 10 s.
+func waitStats(t *testing.T, cl *client.Client, what string, ok func(map[string]int64) bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		st, err := cl.Stats()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok(st) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("STATS never showed %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// waitParked waits until the server reports at least n parked
+// sessions. A client's Close returns before the server has seen the
+// disconnect and parked the connection's named subscriptions, so a
+// test that mutates the store "while parked" waits here first.
+func waitParked(t *testing.T, cl *client.Client, n int64) {
+	t.Helper()
+	waitStats(t, cl, "the session parked", func(st map[string]int64) bool {
+		return st["server.sessions.parked"] >= n
+	})
+}
+
+// waitPumped waits until every event the monitor emitted has reached a
+// session ring. Monitor.WaitVersion only covers the monitor's side;
+// each session's pump moves events into its ring asynchronously. An
+// admitted event is afterwards pushed, shed or still in the backlog, so
+// the rings have caught up once pushed + shed + backlog reaches the
+// monitor's event count (STATS samples them one after another, which
+// can only undercount).
+func waitPumped(t *testing.T, cl *client.Client) {
+	t.Helper()
+	waitStats(t, cl, "every monitor event in a session ring", func(st map[string]int64) bool {
+		return st["server.pushed"]+st["server.shed"]+st["server.push.backlog"] >= st["cq.events"]
+	})
+}
+
 // mustWire pushes in-process query matches through the wire codec —
 // what a correct server must answer for those matches.
 func mustWire(t *testing.T, ms []query.Match) []server.Match {

@@ -112,6 +112,7 @@ func TestShedAccounting(t *testing.T) {
 	member := aInit[0].Object.ID
 	memberObj, _ := store.Get(member)
 	ac.Close() // park; the ring keeps filling while nobody drains
+	waitParked(t, m, 1)
 
 	for i := 0; i < E+4; i++ {
 		if found, err := m.Delete(member); err != nil || !found {
@@ -124,6 +125,7 @@ func TestShedAccounting(t *testing.T) {
 	if _, err := m.WaitVersion(store.Version()); err != nil {
 		t.Fatal(err)
 	}
+	waitPumped(t, m)
 
 	bc := dial(t, addr)
 	b, err := bc.Resume("shed-acct", 0, 0, named)

@@ -346,8 +346,9 @@ func TestSyncPolicies(t *testing.T) {
 	}
 }
 
-// TestCursorRoundTrip: the durable-cursor codec is the identity, and a
-// missing file reads as a fresh start.
+// TestCursorRoundTrip: the durable-cursor codec is the identity through
+// a cursor log's base frame and a reopen, a missing file reads as a
+// fresh start, and invalid subscriptions are refused.
 func TestCursorRoundTrip(t *testing.T) {
 	db := mustSynthetic(t, 4, 4)
 	c := &Cursor{
@@ -362,24 +363,29 @@ func TestCursorRoundTrip(t *testing.T) {
 		},
 	}
 	path := filepath.Join(t.TempDir(), "cursor")
-	if err := SaveCursor(path, c); err != nil {
+	l, none, err := OpenCursorLog(path)
+	if err != nil || none != nil {
+		t.Fatalf("missing cursor: got %+v, %v", none, err)
+	}
+	if err := l.WriteFull(c); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadCursor(path)
+	if err := l.WriteFull(&Cursor{Subs: []CursorSub{{Name: "", Q: db[0]}}}); err == nil {
+		t.Fatal("empty subscription name encoded")
+	}
+	if err := l.WriteFull(&Cursor{Subs: []CursorSub{{Name: "x"}}}); err == nil {
+		t.Fatal("subscription without query object encoded")
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, got, err := OpenCursorLog(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer l2.Close()
 	if !reflect.DeepEqual(c, got) {
 		t.Fatalf("cursor round trip changed:\n%+v\n%+v", c, got)
-	}
-	if none, err := LoadCursor(filepath.Join(t.TempDir(), "cursor")); err != nil || none != nil {
-		t.Fatalf("missing cursor: got %+v, %v", none, err)
-	}
-	if err := SaveCursor(path, &Cursor{Subs: []CursorSub{{Name: "", Q: db[0]}}}); err == nil {
-		t.Fatal("empty subscription name encoded")
-	}
-	if err := SaveCursor(path, &Cursor{Subs: []CursorSub{{Name: "x"}}}); err == nil {
-		t.Fatal("subscription without query object encoded")
 	}
 }
 

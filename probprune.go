@@ -42,9 +42,13 @@
 // runs share one decomposition cache (DecompCache), built once per
 // query, so the query object and every influence object are kd-split
 // at most once per query instead of once per candidate run — and
-// results stay identical, bit for bit, to the sequential path
-// regardless of worker count. Every query has a context-accepting
-// variant for cancellation and deadlines:
+// candidate queries stay identical, bit for bit, to the sequential path
+// regardless of worker count. InverseRank, a single IDCA run, instead
+// hands Options.Parallelism to that run's (B′, R′) pair loop, as
+// core.Run does at Parallelism > 1: the result is deterministic for a
+// fixed worker count but differs from the sequential one by float
+// reassociation, and 0 or 1 runs the pairs sequentially. Every query
+// has a context-accepting variant for cancellation and deadlines:
 //
 //	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 //	defer cancel()
