@@ -11,6 +11,7 @@
 package probprune_test
 
 import (
+	"context"
 	"time"
 
 	"probprune/internal/obs"
@@ -29,9 +30,9 @@ func TestEngineKNNAllocCeiling(t *testing.T) {
 	db := benchscen.MustDB(allocDBSize)
 	e := probprune.NewEngine(db, probprune.Options{MaxIterations: 3})
 	q := probprune.PointObject(-1, probprune.Point{0.5, 0.5})
-	e.KNN(q, benchscen.K, benchscen.Tau) // warm pools and decomposition cache
+	must(e.KNNCtx(context.Background(), q, benchscen.K, benchscen.Tau)) // warm pools and decomposition cache
 	allocs := testing.AllocsPerRun(5, func() {
-		e.KNN(q, benchscen.K, benchscen.Tau)
+		must(e.KNNCtx(context.Background(), q, benchscen.K, benchscen.Tau))
 	})
 	if allocs > 1000 {
 		t.Fatalf("EngineKNN allocated %.0f times per query, ceiling 1000", allocs)

@@ -7,6 +7,7 @@
 package probprune_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -37,7 +38,7 @@ func BenchmarkKNNParallel(b *testing.B) {
 			eng := probprune.NewEngine(db, probprune.Options{MaxIterations: 3, Parallelism: w})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eng.KNN(q, 5, 0.5)
+				must(eng.KNNCtx(context.Background(), q, 5, 0.5))
 			}
 		})
 	}
@@ -50,7 +51,7 @@ func BenchmarkRKNNParallel(b *testing.B) {
 			eng := probprune.NewEngine(db, probprune.Options{MaxIterations: 3, Parallelism: w})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eng.RKNN(q, 5, 0.5)
+				must(eng.RKNNCtx(context.Background(), q, 5, 0.5))
 			}
 		})
 	}

@@ -9,6 +9,7 @@
 package probprune_test
 
 import (
+	"context"
 	"testing"
 
 	"probprune"
@@ -28,7 +29,7 @@ func BenchmarkStoreWarmKNNSampleHeavy(b *testing.B) {
 	b.Run("engine-cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			engine := probprune.NewEngine(db, opts)
-			engine.KNN(q, 10, 0.5)
+			must(engine.KNNCtx(context.Background(), q, 10, 0.5))
 		}
 	})
 	b.Run("store-warm", func(b *testing.B) {

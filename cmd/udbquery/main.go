@@ -106,7 +106,10 @@ func main() {
 		}
 	case "rank":
 		q := queryObject(db, *at, *targetID)
-		ranked := engine.RankByExpectedRank(q)
+		ranked, err := engine.RankByExpectedRankCtx(ctx, q)
+		if err != nil {
+			fail("rank: %v", err)
+		}
 		if *top < len(ranked) {
 			ranked = ranked[:*top]
 		}

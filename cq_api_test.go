@@ -35,7 +35,7 @@ func TestContinuousQueryAPI(t *testing.T) {
 	defer monitor.Close()
 
 	q := probprune.PointObject(-1, probprune.Point{0.5, 0.5})
-	sub, err := monitor.SubscribeKNN(q, 3, 0.4)
+	sub, err := monitor.Subscribe("", probprune.KNNSubscription, q, 3, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestContinuousQueryAPI(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := store.Insert(o); err != nil {
+		if err := store.InsertCtx(context.Background(), o); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package probprune_test
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -80,8 +81,8 @@ func ExampleOpenStore() {
 		probprune.PointObject(1, probprune.Point{2, 0}),
 	}
 	store, _ := probprune.BootstrapStore(db, popts, probprune.Options{})
-	store.Insert(probprune.PointObject(2, probprune.Point{3, 0}))
-	store.Delete(0)
+	store.InsertCtx(context.Background(), probprune.PointObject(2, probprune.Point{3, 0}))
+	store.DeleteCtx(context.Background(), 0)
 	store.Close()
 
 	reopened, _ := probprune.OpenStore(popts, probprune.Options{})

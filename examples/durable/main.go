@@ -34,6 +34,7 @@ func drain(sub *probprune.Subscription) int {
 }
 
 func main() {
+	ctx := context.Background()
 	dir, err := os.MkdirTemp("", "probprune-durable-*")
 	if err != nil {
 		log.Fatal(err)
@@ -69,7 +70,7 @@ func main() {
 		CursorPath: cursor,
 	})
 	q := probprune.PointObject(-1, probprune.Point{0.5, 0.5})
-	sub, err := monitor.SubscribeKNNDurable("dashboard", q, 5, 0.5)
+	sub, err := monitor.Subscribe("dashboard", probprune.KNNSubscription, q, 5, 0.5)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -78,11 +79,11 @@ func main() {
 	// Serve: journaled live commits, streamed to the subscription.
 	for i := 0; i < 100; i++ {
 		o := probprune.PointObject(10000+i, probprune.Point{0.48 + float64(i)*0.0005, 0.5})
-		if err := store.Insert(o); err != nil {
+		if err := store.InsertCtx(ctx, o); err != nil {
 			log.Fatal(err)
 		}
 	}
-	if err := monitor.Sync(context.Background()); err != nil { // catch up
+	if err := monitor.Sync(ctx); err != nil { // catch up
 		log.Fatal(err)
 	}
 	fmt.Printf("serving 100 commits streamed %d events\n", drain(sub))
@@ -116,14 +117,14 @@ func main() {
 		CursorPath: cursor,
 	})
 	defer monitor2.Close()
-	sub2, err := monitor2.SubscribeKNNDurable("dashboard", q, 5, 0.5)
+	sub2, err := monitor2.Subscribe("dashboard", probprune.KNNSubscription, q, 5, 0.5)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("resumed subscription replays %d events (cursor was current)\n", drain(sub2))
 
 	// Commits after the resume stream as usual.
-	if err := reopened.Insert(probprune.PointObject(20000, probprune.Point{0.5, 0.5})); err != nil {
+	if err := reopened.InsertCtx(ctx, probprune.PointObject(20000, probprune.Point{0.5, 0.5})); err != nil {
 		log.Fatal(err)
 	}
 	ev := <-sub2.Events()

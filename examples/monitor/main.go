@@ -42,6 +42,7 @@ func courier(rng *rand.Rand, id int, cx, cy float64) *probprune.Object {
 }
 
 func main() {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(42))
 
 	// The fleet starts scattered across the city (unit square).
@@ -60,7 +61,7 @@ func main() {
 	defer monitor.Close()
 
 	depot := probprune.PointObject(-1, probprune.Point{0.5, 0.5})
-	sub, err := monitor.SubscribeKNN(depot, k, tau)
+	sub, err := monitor.Subscribe("", probprune.KNNSubscription, depot, k, tau)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -110,11 +111,11 @@ func main() {
 			if pos[i][1] < 0 {
 				pos[i][1] = -pos[i][1]
 			}
-			if err := store.Update(courier(rng, i, pos[i][0], pos[i][1])); err != nil {
+			if err := store.UpdateCtx(ctx, courier(rng, i, pos[i][0], pos[i][1])); err != nil {
 				log.Fatal(err)
 			}
 		}
-		if err := monitor.Sync(context.Background()); err != nil {
+		if err := monitor.Sync(ctx); err != nil {
 			log.Fatal(err)
 		}
 		drain()

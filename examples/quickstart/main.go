@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -34,7 +35,10 @@ func main() {
 	// with probability at least 50%?"
 	queryPoint := probprune.PointObject(-1, probprune.Point{0.5, 0.5})
 	const k, tau = 5, 0.5
-	matches := engine.KNN(queryPoint, k, tau)
+	matches, err := engine.KNNCtx(context.Background(), queryPoint, k, tau)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("probabilistic %d-NN of (0.5, 0.5) with threshold %.0f%%:\n", k, tau*100)
 	results, undecided, iterations := 0, 0, 0

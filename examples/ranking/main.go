@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -41,7 +42,10 @@ func main() {
 	pickup := probprune.PointObject(-1, probprune.Point{5.0, 5.0})
 	engine := probprune.NewEngine(db, probprune.Options{MaxIterations: 6})
 
-	ranked := engine.RankByExpectedRank(pickup)
+	ranked, err := engine.RankByExpectedRankCtx(context.Background(), pickup)
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("cabs by expected proximity rank to the pickup at (5.0, 5.0):")
 	for i, r := range ranked[:8] {
 		c := r.Object.Centroid()

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -67,7 +68,10 @@ func main() {
 	// Which sensors have the probe among their 3 most similar peers
 	// with probability at least 25%?
 	const k, tau = 3, 0.25
-	matches := engine.RKNN(probe, k, tau)
+	matches, err := engine.RKNNCtx(context.Background(), probe, k, tau)
+	if err != nil {
+		log.Fatal(err)
+	}
 
 	fmt.Printf("sensors that can use the probe for cross-validation (R%dNN, τ=%.0f%%):\n", k, tau*100)
 	count := 0

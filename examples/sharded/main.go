@@ -41,6 +41,7 @@ func sensor(rng *rand.Rand, id int, cx, cy float64) *probprune.Object {
 }
 
 func main() {
+	ctx := context.Background()
 	rng := rand.New(rand.NewSource(7))
 
 	pos := make([][2]float64, sensors)
@@ -67,7 +68,7 @@ func main() {
 	monitor := probprune.NewMonitor(sharded, probprune.MonitorOptions{Buffer: 1024})
 	defer monitor.Close()
 	hub := probprune.PointObject(-1, probprune.Point{0.5, 0.5})
-	sub, err := monitor.SubscribeKNN(hub, k, tau)
+	sub, err := monitor.Subscribe("", probprune.KNNSubscription, hub, k, tau)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -96,10 +97,10 @@ func main() {
 				pos[j][0] -= 1
 			}
 			o := sensor(rng, j, pos[j][0], pos[j][1])
-			if err := sharded.Update(o); err != nil {
+			if err := sharded.UpdateCtx(ctx, o); err != nil {
 				log.Fatal(err)
 			}
-			if err := reference.Update(o); err != nil {
+			if err := reference.UpdateCtx(ctx, o); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -112,7 +113,7 @@ func main() {
 		queryBoth(round)
 	}
 
-	if err := monitor.Sync(context.Background()); err != nil {
+	if err := monitor.Sync(ctx); err != nil {
 		log.Fatal(err)
 	}
 	events := 0

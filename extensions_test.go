@@ -1,6 +1,7 @@
 package probprune_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -51,7 +52,7 @@ func TestTopKNNFacade(t *testing.T) {
 	for _, be := range queryBackends(t, db, probprune.Options{MaxIterations: 6}) {
 		t.Run(be.name, func(t *testing.T) {
 			q := probprune.PointObject(-1, probprune.Point{0.5, 0.5})
-			top := be.eng.TopKNN(q, 3, 5)
+			top := must(be.eng.TopKNNCtx(context.Background(), q, 3, 5))
 			if len(top) != 5 {
 				t.Fatalf("TopKNN returned %d matches", len(top))
 			}
@@ -77,7 +78,7 @@ func TestUKRanksFacade(t *testing.T) {
 	for _, be := range queryBackends(t, db, probprune.Options{MaxIterations: 3}) {
 		t.Run(be.name, func(t *testing.T) {
 			q := probprune.PointObject(-1, probprune.Point{0, 0})
-			winners := be.eng.UKRanks(q, 2)
+			winners := must(be.eng.UKRanksCtx(context.Background(), q, 2))
 			if len(winners) != 2 || winners[0].Object.ID != 1 || winners[1].Object.ID != 0 {
 				t.Fatalf("UKRanks winners wrong: %+v", winners)
 			}
@@ -130,24 +131,24 @@ func TestDurableReopenOracle(t *testing.T) {
 					o, err = probprune.NewObject(next, pts)
 					next++
 					if err == nil {
-						err = durable.Insert(o)
+						err = durable.InsertCtx(context.Background(), o)
 						if err == nil {
-							err = mirror.Insert(o)
+							err = mirror.InsertCtx(context.Background(), o)
 						}
 					}
 				case 1:
 					o, err = probprune.NewObject(db[rng.Intn(len(db))].ID, pts)
 					if err == nil {
 						if _, live := mirror.Get(o.ID); live {
-							err = durable.Update(o)
+							err = durable.UpdateCtx(context.Background(), o)
 							if err == nil {
-								err = mirror.Update(o)
+								err = mirror.UpdateCtx(context.Background(), o)
 							}
 						}
 					}
 				default:
 					victim := db[rng.Intn(len(db))].ID
-					if durable.Delete(victim) != mirror.Delete(victim) {
+					if must(durable.DeleteCtx(context.Background(), victim)) != must(mirror.DeleteCtx(context.Background(), victim)) {
 						t.Fatal("delete outcome diverged")
 					}
 				}
@@ -169,8 +170,8 @@ func TestDurableReopenOracle(t *testing.T) {
 			q := probprune.PointObject(-1, probprune.Point{0.5, 0.5})
 			wantKNN := mirror.KNN(q, 3, 0.4)
 			gotKNN := reopened.KNN(q, 3, 0.4)
-			wantRKNN := mirror.RKNN(q, 2, 0.3)
-			gotRKNN := reopened.RKNN(q, 2, 0.3)
+			wantRKNN := must(mirror.RKNNCtx(context.Background(), q, 2, 0.3))
+			gotRKNN := must(reopened.RKNNCtx(context.Background(), q, 2, 0.3))
 			for _, pair := range []struct {
 				kind      string
 				got, want []probprune.Match

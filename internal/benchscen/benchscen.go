@@ -70,10 +70,11 @@ func randObject(b *testing.B, rng *rand.Rand, id int) *probprune.Object {
 func EngineKNN(b *testing.B, db probprune.Database) {
 	e := probprune.NewEngine(db, probprune.Options{MaxIterations: 3})
 	q := probprune.PointObject(-1, probprune.Point{0.5, 0.5})
+	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.KNN(q, K, Tau)
+		e.KNNCtx(ctx, q, K, Tau)
 	}
 }
 
@@ -158,7 +159,7 @@ func ShardedBatchKNN(shards int) func(b *testing.B, db probprune.Database) {
 		for i := 0; i < b.N; i++ {
 			for w := 0; w < WritesPerBatch; w++ {
 				victim, _ := s.Get(db[rng.Intn(len(db))].ID)
-				if err := s.Update(driftObject(b, rng, victim)); err != nil {
+				if err := s.UpdateCtx(context.Background(), driftObject(b, rng, victim)); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -235,7 +236,7 @@ func WALIngest(b *testing.B, db probprune.Database) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		victim, _ := s.Get(db[rng.Intn(len(db))].ID)
-		if err := s.Update(driftObject(b, rng, victim)); err != nil {
+		if err := s.UpdateCtx(context.Background(), driftObject(b, rng, victim)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -254,7 +255,7 @@ func recoveryJournal(b *testing.B, db probprune.Database, checkpoint bool) probp
 		b.Fatal(err)
 	}
 	for _, o := range db {
-		if err := s.Insert(o); err != nil {
+		if err := s.InsertCtx(context.Background(), o); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -327,7 +328,7 @@ func CQMaintain(b *testing.B, db probprune.Database) {
 	defer m.Close()
 	rng := rand.New(rand.NewSource(7))
 	for _, q := range queryPoints(rng) {
-		if _, err := m.SubscribeKNN(q, K, Tau); err != nil {
+		if _, err := m.Subscribe("", probprune.KNNSubscription, q, K, Tau); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -337,7 +338,7 @@ func CQMaintain(b *testing.B, db probprune.Database) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		victim := db[rng.Intn(len(db))].ID
-		if err := s.Update(randObject(b, rng, victim)); err != nil {
+		if err := s.UpdateCtx(ctx, randObject(b, rng, victim)); err != nil {
 			b.Fatal(err)
 		}
 		if err := m.Sync(ctx); err != nil {
@@ -361,7 +362,7 @@ func CQRequery(b *testing.B, db probprune.Database) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		victim := db[rng.Intn(len(db))].ID
-		if err := s.Update(randObject(b, rng, victim)); err != nil {
+		if err := s.UpdateCtx(context.Background(), randObject(b, rng, victim)); err != nil {
 			b.Fatal(err)
 		}
 		for _, q := range qs {

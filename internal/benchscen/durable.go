@@ -6,6 +6,7 @@
 package benchscen
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"sync/atomic"
@@ -38,7 +39,7 @@ func DurableIngestSerial(b *testing.B, db probprune.Database) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		victim, _ := s.Get(db[rng.Intn(len(db))].ID)
-		if err := s.Update(driftObject(b, rng, victim)); err != nil {
+		if err := s.UpdateCtx(context.Background(), driftObject(b, rng, victim)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -65,7 +66,7 @@ func DurableIngestGroupCommit(b *testing.B, db probprune.Database) {
 		rng := rand.New(rand.NewSource(500 + seed.Add(1)))
 		for pb.Next() {
 			victim, _ := s.Get(db[rng.Intn(len(db))].ID)
-			if err := s.Update(driftObject(b, rng, victim)); err != nil {
+			if err := s.UpdateCtx(context.Background(), driftObject(b, rng, victim)); err != nil {
 				b.Error(err)
 				return
 			}
@@ -98,7 +99,7 @@ func CheckpointUnderLoad(b *testing.B, db probprune.Database) {
 		victim, _ := s.Get(db[rng.Intn(len(db))].ID)
 		o := driftObject(b, rng, victim)
 		start := time.Now()
-		err := s.Update(o)
+		err := s.UpdateCtx(context.Background(), o)
 		lat = append(lat, time.Since(start))
 		if err != nil {
 			b.Fatal(err)

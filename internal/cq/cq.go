@@ -1,6 +1,6 @@
 // Package cq turns the one-shot probabilistic queries of the engine
 // into continuous ones: standing KNN/RkNN subscriptions over a live
-// query.Store, kept current incrementally as Insert/Update/Delete
+// query.Store, kept current incrementally as InsertCtx/UpdateCtx/DeleteCtx
 // commit, with clients consuming an ordered stream of result-set events
 // — the serving model of production geofence systems (tile38-style),
 // built on the paper's domination-count bounds.
@@ -135,10 +135,11 @@ type Source interface {
 }
 
 // NewMonitor attaches a monitor to the store (the merged change stream
-// of all its shards). The registration is
-// atomic with a snapshot of the current state: subscriptions made
-// before any further mutation see exactly that state as their initial
-// result. The monitor owns a background worker until Close.
+// of all its shards). The registration is atomic with a snapshot of the
+// current state: subscriptions made with Subscribe before any further
+// mutation see exactly that state as their initial result. Cancel a
+// subscription with Subscription.Cancel. The monitor owns a background
+// worker until Close.
 //
 // While a monitor is attached every store mutation publishes a snapshot
 // (see Store.Watch), so write bursts pay one copy-on-write detach per
@@ -169,62 +170,32 @@ func NewMonitor(store Source, opts Options) *Monitor {
 	return m
 }
 
-// SubscribeKNN registers a standing probabilistic threshold kNN query:
-// the event stream tracks every object B with P(B ∈ kNN(q)) >= tau.
-// The current result set arrives first, as ObjectEntered events.
-func (m *Monitor) SubscribeKNN(q *uncertain.Object, k int, tau float64) (*Subscription, error) {
-	return m.subscribe(KNN, q, k, tau)
-}
-
-// SubscribeRKNN registers a standing probabilistic threshold reverse
-// kNN query: the stream tracks every object that has q among its k
-// nearest neighbors with probability >= tau.
-func (m *Monitor) SubscribeRKNN(q *uncertain.Object, k int, tau float64) (*Subscription, error) {
-	return m.subscribe(RKNN, q, k, tau)
-}
-
-// SubscribeKNNDurable is SubscribeKNN with a durable identity: the
-// subscription's result set is persisted in the monitor's cursor under
-// name, and a monitor restarted with the same cursor file resumes the
-// subscription with the coalesced delta since the cursor — an object
-// that entered and left while the monitor was down produces no event;
-// everything whose membership or bounds differ produces exactly one.
-// After the resume events, per-version streaming continues as usual.
-// Requires Options.CursorPath; the name must be unique among live
-// durable subscriptions, and re-using a name with a different predicate
-// fails with ErrCursorMismatch.
-func (m *Monitor) SubscribeKNNDurable(name string, q *uncertain.Object, k int, tau float64) (*Subscription, error) {
-	return m.subscribeDurable(name, KNN, q, k, tau)
-}
-
-// SubscribeRKNNDurable is SubscribeRKNN with a durable identity (see
-// SubscribeKNNDurable).
-func (m *Monitor) SubscribeRKNNDurable(name string, q *uncertain.Object, k int, tau float64) (*Subscription, error) {
-	return m.subscribeDurable(name, RKNN, q, k, tau)
-}
-
-func (m *Monitor) subscribeDurable(name string, kind Kind, q *uncertain.Object, k int, tau float64) (*Subscription, error) {
-	if m.opts.CursorPath == "" {
-		return nil, fmt.Errorf("cq: durable subscription %q without Options.CursorPath", name)
+// Subscribe registers a standing probabilistic threshold query of the
+// given kind: for KNN the event stream tracks every object B with
+// P(B ∈ kNN(q)) >= tau; for RKNN every object that has q among its k
+// nearest neighbors with probability >= tau. The current result set
+// arrives first, as ObjectEntered events.
+//
+// An empty name makes an anonymous subscription. A non-empty name gives
+// it a durable identity: the subscription's result set is persisted in
+// the monitor's cursor under name, and a monitor restarted with the
+// same cursor file resumes the subscription with the coalesced delta
+// since the cursor — an object that entered and left while the monitor
+// was down produces no event; everything whose membership or bounds
+// differ produces exactly one. After the resume events, per-version
+// streaming continues as usual. A named subscription requires
+// Options.CursorPath and a readable cursor; the name must be unique
+// among live durable subscriptions (ErrDuplicateName), and re-using a
+// name with a different predicate fails with ErrCursorMismatch.
+func (m *Monitor) Subscribe(name string, kind Kind, q *uncertain.Object, k int, tau float64) (*Subscription, error) {
+	if name != "" {
+		if m.opts.CursorPath == "" {
+			return nil, fmt.Errorf("cq: durable subscription %q without Options.CursorPath", name)
+		}
+		if m.cursorErr != nil {
+			return nil, fmt.Errorf("cq: cursor %s unreadable: %w", m.opts.CursorPath, m.cursorErr)
+		}
 	}
-	if name == "" {
-		return nil, fmt.Errorf("cq: durable subscription with empty name")
-	}
-	if m.cursorErr != nil {
-		return nil, fmt.Errorf("cq: cursor %s unreadable: %w", m.opts.CursorPath, m.cursorErr)
-	}
-	s, err := m.subscribeSub(name, kind, q, k, tau)
-	if err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-func (m *Monitor) subscribe(kind Kind, q *uncertain.Object, k int, tau float64) (*Subscription, error) {
-	return m.subscribeSub("", kind, q, k, tau)
-}
-
-func (m *Monitor) subscribeSub(name string, kind Kind, q *uncertain.Object, k int, tau float64) (*Subscription, error) {
 	if q == nil {
 		return nil, fmt.Errorf("cq: nil query object")
 	}
@@ -267,9 +238,6 @@ func (m *Monitor) subscribeSub(name string, kind Kind, q *uncertain.Object, k in
 // ErrDuplicateName: a durable subscription was requested under a name
 // that a live durable subscription already holds.
 var ErrDuplicateName = fmt.Errorf("cq: durable subscription name already in use")
-
-// Unsubscribe cancels a subscription (see Subscription.Cancel).
-func (m *Monitor) Unsubscribe(s *Subscription) { s.Cancel() }
 
 // Close detaches from the store, ends every subscription with
 // ErrMonitorClosed and stops the worker. Changes committed before Close

@@ -79,7 +79,7 @@ func TestInitialResultMatchesQuery(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(9))
 	q := objectNear(rng, -1, 0.4, 0.4, 0.05)
-	sub, err := m.SubscribeKNN(q, 4, 0.3)
+	sub, err := m.Subscribe("", KNN, q, 4, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestMutationEvents(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(11))
 	q := objectNear(rng, -1, 0.5, 0.5, 0.02)
-	sub, err := m.SubscribeKNN(q, 3, 0.4)
+	sub, err := m.Subscribe("", KNN, q, 3, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestMutationEvents(t *testing.T) {
 
 	// Insert an object right on top of the query: it must enter.
 	hot := objectNear(rng, 9000, 0.5, 0.5, 0.001)
-	if err := store.Insert(hot); err != nil {
+	if err := store.InsertCtx(context.Background(), hot); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Sync(ctx); err != nil {
@@ -148,7 +148,7 @@ func TestMutationEvents(t *testing.T) {
 
 	// Move it far away: it must leave.
 	cold := objectNear(rng, 9000, 0.05, 0.95, 0.001)
-	if err := store.Update(cold); err != nil {
+	if err := store.UpdateCtx(context.Background(), cold); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Sync(ctx); err != nil {
@@ -160,10 +160,10 @@ func TestMutationEvents(t *testing.T) {
 	}
 
 	// Re-insert near, then delete: enter + leave.
-	if err := store.Update(objectNear(rng, 9000, 0.5, 0.5, 0.001)); err != nil {
+	if err := store.UpdateCtx(context.Background(), objectNear(rng, 9000, 0.5, 0.5, 0.001)); err != nil {
 		t.Fatal(err)
 	}
-	if !store.Delete(9000) {
+	if !must(store.DeleteCtx(context.Background(), 9000)) {
 		t.Fatal("delete failed")
 	}
 	if err := m.Sync(ctx); err != nil {
@@ -217,11 +217,11 @@ func TestRegionWakeFiltering(t *testing.T) {
 
 	q1 := objectNear(rng, -1, 0.18, 0.18, 0.01)
 	q2 := objectNear(rng, -2, 0.78, 0.78, 0.01)
-	subA, err := m.SubscribeKNN(q1, 3, 0.5)
+	subA, err := m.Subscribe("", KNN, q1, 3, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	subB, err := m.SubscribeKNN(q2, 3, 0.5)
+	subB, err := m.Subscribe("", KNN, q2, 3, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestRegionWakeFiltering(t *testing.T) {
 	drainEvents(subB)
 
 	// Mutate inside B's cluster only.
-	if err := store.Insert(objectNear(rng, 500, 0.78, 0.78, 0.01)); err != nil {
+	if err := store.InsertCtx(context.Background(), objectNear(rng, 500, 0.78, 0.78, 0.01)); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Sync(ctx); err != nil {
@@ -298,7 +298,7 @@ func TestIncrementalRunSavings(t *testing.T) {
 	queries := make([]*uncertain.Object, nSubs)
 	for i := range queries {
 		queries[i] = objectNear(rng, -(i + 1), rng.Float64(), rng.Float64(), 0.02)
-		if _, err := m.SubscribeKNN(queries[i], k, tau); err != nil {
+		if _, err := m.Subscribe("", KNN, queries[i], k, tau); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -310,7 +310,7 @@ func TestIncrementalRunSavings(t *testing.T) {
 	var requeryRuns uint64
 	for step := 0; step < steps; step++ {
 		victim := db[rng.Intn(len(db))].ID
-		if err := store.Update(objectNear(rng, victim, rng.Float64(), rng.Float64(), 0.02)); err != nil {
+		if err := store.UpdateCtx(context.Background(), objectNear(rng, victim, rng.Float64(), rng.Float64(), 0.02)); err != nil {
 			t.Fatal(err)
 		}
 		if err := m.Sync(ctx); err != nil {
@@ -356,7 +356,7 @@ func TestSlowConsumerDisconnect(t *testing.T) {
 	// A (near-)point query: objects approaching it along one axis are
 	// strictly closer in every possible world.
 	q := objectNear(rng, -1, 0.5, 0.5, 0.0001)
-	if _, err := m.SubscribeKNN(q, 3, 0); !errors.Is(err, ErrSlowConsumer) {
+	if _, err := m.Subscribe("", KNN, q, 3, 0); !errors.Is(err, ErrSlowConsumer) {
 		t.Fatalf("oversized initial result subscribed with err = %v, want ErrSlowConsumer", err)
 	}
 	if m.NumSubscriptions() != 0 {
@@ -365,7 +365,7 @@ func TestSlowConsumerDisconnect(t *testing.T) {
 
 	// A subscription whose initial result fits but whose consumer stops
 	// draining is disconnected at event time.
-	sub, err := m.SubscribeKNN(q, 1, 0.5)
+	sub, err := m.Subscribe("", KNN, q, 1, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestSlowConsumerDisconnect(t *testing.T) {
 	// leaves — two events per insert, quickly overflowing the buffer.
 	d := 0.1
 	for i := 0; i < 8; i++ {
-		if err := store.Insert(objectNear(rng, 800+i, 0.5+d, 0.5, 0.0002)); err != nil {
+		if err := store.InsertCtx(context.Background(), objectNear(rng, 800+i, 0.5+d, 0.5, 0.0002)); err != nil {
 			t.Fatal(err)
 		}
 		d *= 0.5
@@ -404,7 +404,7 @@ func TestSlowConsumerDropOldest(t *testing.T) {
 	defer m.Close()
 
 	q := objectNear(rand.New(rand.NewSource(2)), -1, 0.5, 0.5, 0.02)
-	sub, err := m.SubscribeKNN(q, 3, 0)
+	sub, err := m.Subscribe("", KNN, q, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +443,7 @@ func TestLifecycle(t *testing.T) {
 	m := NewMonitor(store, Options{})
 
 	q := objectNear(rand.New(rand.NewSource(3)), -1, 0.5, 0.5, 0.02)
-	sub, err := m.SubscribeKNN(q, 2, 0.5)
+	sub, err := m.Subscribe("", KNN, q, 2, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,11 +460,11 @@ func TestLifecycle(t *testing.T) {
 		t.Fatalf("Err = %v, want ErrUnsubscribed", sub.Err())
 	}
 
-	sub2, err := m.SubscribeRKNN(q, 2, 0.4)
+	sub2, err := m.Subscribe("", RKNN, q, 2, 0.4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Insert(objectNear(rand.New(rand.NewSource(4)), 700, 0.5, 0.5, 0.01)); err != nil {
+	if err := store.InsertCtx(context.Background(), objectNear(rand.New(rand.NewSource(4)), 700, 0.5, 0.5, 0.01)); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Sync(ctx); err != nil {
@@ -477,24 +477,24 @@ func TestLifecycle(t *testing.T) {
 	if !errors.Is(sub2.Err(), ErrMonitorClosed) {
 		t.Fatalf("after Close, Err = %v, want ErrMonitorClosed", sub2.Err())
 	}
-	if _, err := m.SubscribeKNN(q, 2, 0.5); !errors.Is(err, ErrMonitorClosed) {
+	if _, err := m.Subscribe("", KNN, q, 2, 0.5); !errors.Is(err, ErrMonitorClosed) {
 		t.Fatalf("Subscribe after Close = %v, want ErrMonitorClosed", err)
 	}
 	// Mutations after Close are not observed and do not block.
-	if err := store.Insert(objectNear(rand.New(rand.NewSource(5)), 701, 0.1, 0.1, 0.01)); err != nil {
+	if err := store.InsertCtx(context.Background(), objectNear(rand.New(rand.NewSource(5)), 701, 0.1, 0.1, 0.01)); err != nil {
 		t.Fatal(err)
 	}
 
 	// Validation errors.
 	m2 := NewMonitor(store, Options{})
 	defer m2.Close()
-	if _, err := m2.SubscribeKNN(nil, 2, 0.5); err == nil {
+	if _, err := m2.Subscribe("", KNN, nil, 2, 0.5); err == nil {
 		t.Fatal("nil query accepted")
 	}
-	if _, err := m2.SubscribeKNN(q, 0, 0.5); err == nil {
+	if _, err := m2.Subscribe("", KNN, q, 0, 0.5); err == nil {
 		t.Fatal("k = 0 accepted")
 	}
-	if _, err := m2.SubscribeKNN(q, 2, 1.5); err == nil {
+	if _, err := m2.Subscribe("", KNN, q, 2, 1.5); err == nil {
 		t.Fatal("tau = 1.5 accepted")
 	}
 }
@@ -514,7 +514,7 @@ func TestConcurrentMutationsAndConsumers(t *testing.T) {
 	subs := make([]*Subscription, 4)
 	for i := range subs {
 		var err error
-		subs[i], err = m.SubscribeKNN(objectNear(rng, -(i+1), rng.Float64(), rng.Float64(), 0.02), 3, 0.3)
+		subs[i], err = m.Subscribe("", KNN, objectNear(rng, -(i+1), rng.Float64(), rng.Float64(), 0.02), 3, 0.3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -537,19 +537,19 @@ func TestConcurrentMutationsAndConsumers(t *testing.T) {
 	for i := 0; i < 150; i++ {
 		switch rng.Intn(3) {
 		case 0:
-			if err := store.Insert(objectNear(rng, nextID, rng.Float64(), rng.Float64(), 0.02)); err != nil {
+			if err := store.InsertCtx(context.Background(), objectNear(rng, nextID, rng.Float64(), rng.Float64(), 0.02)); err != nil {
 				t.Fatal(err)
 			}
 			nextID++
 		case 1:
 			snap := store.Snapshot().DB()
 			o := snap[rng.Intn(len(snap))]
-			if err := store.Update(objectNear(rng, o.ID, rng.Float64(), rng.Float64(), 0.02)); err != nil {
+			if err := store.UpdateCtx(context.Background(), objectNear(rng, o.ID, rng.Float64(), rng.Float64(), 0.02)); err != nil {
 				t.Fatal(err)
 			}
 		default:
 			snap := store.Snapshot().DB()
-			store.Delete(snap[rng.Intn(len(snap))].ID)
+			store.DeleteCtx(context.Background(), snap[rng.Intn(len(snap))].ID)
 		}
 	}
 	if err := m.Sync(ctx); err != nil {
@@ -564,4 +564,13 @@ func TestConcurrentMutationsAndConsumers(t *testing.T) {
 	if got := m.Stats().Changes; got != 150 {
 		t.Fatalf("processed %d changes, want 150", got)
 	}
+}
+
+// must unwraps a query result. Under context.Background(), which never
+// cancels, a query's error is always nil.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

@@ -65,9 +65,9 @@ func drain(s *Subscription, r cursorSet) []Event {
 
 // mutStore is the mutation surface of a Store.
 type mutStore interface {
-	Insert(*uncertain.Object) error
-	Update(*uncertain.Object) error
-	Delete(int) bool
+	InsertCtx(context.Context, *uncertain.Object) error
+	UpdateCtx(context.Context, *uncertain.Object) error
+	DeleteCtx(context.Context, int) (bool, error)
 }
 
 // cursorTrace builds a deterministic mutation batch around the unit
@@ -91,17 +91,18 @@ func cursorTrace(t *testing.T, rng *rand.Rand, n, idBase int) []func(mutStore) e
 		switch i % 3 {
 		case 0:
 			o := obj(idBase + i)
-			ops = append(ops, func(s mutStore) error { return s.Insert(o) })
+			ops = append(ops, func(s mutStore) error { return s.InsertCtx(context.Background(), o) })
 		case 1:
 			o := obj(i % 8)
-			ops = append(ops, func(s mutStore) error { return s.Update(o) })
+			ops = append(ops, func(s mutStore) error { return s.UpdateCtx(context.Background(), o) })
 		default:
 			id := idBase + i - 2
 			ops = append(ops, func(s mutStore) error {
-				if !s.Delete(id) {
-					return fmt.Errorf("delete %d found nothing", id)
+				ok, err := s.DeleteCtx(context.Background(), id)
+				if err == nil && !ok {
+					err = fmt.Errorf("delete %d found nothing", id)
 				}
-				return nil
+				return err
 			})
 		}
 	}
@@ -150,7 +151,7 @@ func TestDurableCursorResume(t *testing.T) {
 
 			mon := NewMonitor(store, Options{Buffer: 1 << 10, CursorPath: cursorPath})
 			q := uncertain.PointObject(-1, geom.Point{0.5, 0.5})
-			sub, err := mon.SubscribeKNNDurable("alpha", q, 3, 0.25)
+			sub, err := mon.Subscribe("alpha", KNN, q, 3, 0.25)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -218,7 +219,7 @@ func TestDurableCursorResume(t *testing.T) {
 
 			mon2 := NewMonitor(reopened, Options{Buffer: 1 << 10, CursorPath: cursorPath})
 			defer mon2.Close()
-			sub2, err := mon2.SubscribeKNNDurable("alpha", q, 3, 0.25)
+			sub2, err := mon2.Subscribe("alpha", KNN, q, 3, 0.25)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -277,7 +278,7 @@ func TestDurableCursorResume(t *testing.T) {
 			case *query.Store:
 				eng = s.Snapshot().Engine()
 			}
-			for _, m := range eng.KNN(q, 3, 0.25) {
+			for _, m := range must(eng.KNNCtx(context.Background(), q, 3, 0.25)) {
 				if m.IsResult {
 					final[m.Object.ID] = m.Prob
 				}
@@ -306,7 +307,7 @@ func TestCursorResumeNoGap(t *testing.T) {
 	}
 	mon := NewMonitor(s, Options{CursorPath: cursorPath})
 	q := uncertain.PointObject(-1, geom.Point{0.5, 0.5})
-	sub, err := mon.SubscribeKNNDurable("alpha", q, 2, 0.3)
+	sub, err := mon.Subscribe("alpha", KNN, q, 2, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +330,7 @@ func TestCursorResumeNoGap(t *testing.T) {
 	defer reopened.Close()
 	mon2 := NewMonitor(reopened, Options{CursorPath: cursorPath})
 	defer mon2.Close()
-	sub2, err := mon2.SubscribeKNNDurable("alpha", q, 2, 0.3)
+	sub2, err := mon2.Subscribe("alpha", KNN, q, 2, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,14 +354,16 @@ func TestCursorMismatch(t *testing.T) {
 	}
 	mon := NewMonitor(s, Options{CursorPath: cursorPath})
 	q := uncertain.PointObject(-1, geom.Point{0.5, 0.5})
-	if _, err := mon.SubscribeKNNDurable("alpha", q, 2, 0.3); err != nil {
+	if _, err := mon.Subscribe("alpha", KNN, q, 2, 0.3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mon.SubscribeKNNDurable("alpha", q, 2, 0.3); err == nil {
+	if _, err := mon.Subscribe("alpha", KNN, q, 2, 0.3); err == nil {
 		t.Fatal("duplicate durable name accepted")
 	}
-	if _, err := mon.SubscribeKNNDurable("", q, 2, 0.3); err == nil {
-		t.Fatal("empty durable name accepted")
+	// An empty name is an anonymous subscription, which never enters
+	// the cursor, so it may share a monitor with durable ones.
+	if _, err := mon.Subscribe("", KNN, q, 2, 0.3); err != nil {
+		t.Fatalf("anonymous subscription beside a durable one: %v", err)
 	}
 	if err := mon.Close(); err != nil {
 		t.Fatal(err)
@@ -368,23 +371,23 @@ func TestCursorMismatch(t *testing.T) {
 
 	mon2 := NewMonitor(s, Options{CursorPath: cursorPath})
 	defer mon2.Close()
-	if _, err := mon2.SubscribeKNNDurable("alpha", q, 3, 0.3); err != ErrCursorMismatch {
+	if _, err := mon2.Subscribe("alpha", KNN, q, 3, 0.3); err != ErrCursorMismatch {
 		t.Fatalf("k mismatch resumed with err = %v, want ErrCursorMismatch", err)
 	}
-	if _, err := mon2.SubscribeRKNNDurable("alpha", q, 2, 0.3); err != ErrCursorMismatch {
+	if _, err := mon2.Subscribe("alpha", RKNN, q, 2, 0.3); err != ErrCursorMismatch {
 		t.Fatalf("kind mismatch resumed with err = %v, want ErrCursorMismatch", err)
 	}
 	q2 := uncertain.PointObject(-1, geom.Point{0.1, 0.9})
-	if _, err := mon2.SubscribeKNNDurable("alpha", q2, 2, 0.3); err != ErrCursorMismatch {
+	if _, err := mon2.Subscribe("alpha", KNN, q2, 2, 0.3); err != ErrCursorMismatch {
 		t.Fatalf("query-object mismatch resumed with err = %v, want ErrCursorMismatch", err)
 	}
-	if _, err := mon2.SubscribeKNNDurable("alpha", q, 2, 0.3); err != nil {
+	if _, err := mon2.Subscribe("alpha", KNN, q, 2, 0.3); err != nil {
 		t.Fatalf("exact resume failed: %v", err)
 	}
 
 	mon3 := NewMonitor(s, Options{})
 	defer mon3.Close()
-	if _, err := mon3.SubscribeKNNDurable("alpha", q, 2, 0.3); err == nil {
+	if _, err := mon3.Subscribe("alpha", KNN, q, 2, 0.3); err == nil {
 		t.Fatal("durable subscribe without CursorPath accepted")
 	}
 }

@@ -41,7 +41,7 @@ func TestCursorDeltaSaves(t *testing.T) {
 
 	mon := NewMonitor(s, Options{Buffer: 1 << 10, CursorPath: cursorPath, CursorEvery: 1})
 	q := uncertain.PointObject(-1, geom.Point{0.5, 0.5})
-	sub, err := mon.SubscribeKNNDurable("alpha", q, 3, 0.25)
+	sub, err := mon.Subscribe("alpha", KNN, q, 3, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestCursorDeltaSaves(t *testing.T) {
 	if !mon2.HasCursorSub("alpha") {
 		t.Fatal("resume state lost across the crash")
 	}
-	sub2, err := mon2.SubscribeKNNDurable("alpha", q, 3, 0.25)
+	sub2, err := mon2.Subscribe("alpha", KNN, q, 3, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestCursorForgetPersistsAsDelta(t *testing.T) {
 
 	mon := NewMonitor(s, Options{Buffer: 256, CursorPath: cursorPath})
 	q := uncertain.PointObject(-1, geom.Point{0.5, 0.5})
-	sub, err := mon.SubscribeKNNDurable("alpha", q, 3, 0.25)
+	sub, err := mon.Subscribe("alpha", KNN, q, 3, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestCursorForgetPersistsAsDelta(t *testing.T) {
 		t.Fatal("forgotten name survived the restart")
 	}
 	// The name is free again: a fresh subscription starts from scratch.
-	sub2, err := mon2.SubscribeKNNDurable("alpha", q, 3, 0.25)
+	sub2, err := mon2.Subscribe("alpha", KNN, q, 3, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,10 +183,10 @@ func TestCursorAutoSaveErrorDeferred(t *testing.T) {
 	mon := NewMonitor(s, Options{Buffer: 256, CursorPath: cursorPath, CursorEvery: 1})
 	// Durable subscribes are rejected up front on an unusable cursor.
 	q := uncertain.PointObject(-1, geom.Point{0.5, 0.5})
-	if _, err := mon.SubscribeKNNDurable("alpha", q, 3, 0.25); err == nil {
+	if _, err := mon.Subscribe("alpha", KNN, q, 3, 0.25); err == nil {
 		t.Fatal("durable subscribe accepted with an unreadable cursor")
 	}
-	sub, err := mon.SubscribeKNN(q, 3, 0.25)
+	sub, err := mon.Subscribe("", KNN, q, 3, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestCursorAutoSaveErrorDeferred(t *testing.T) {
 
 	// One processed change trips a failing auto-save.
 	o := uncertain.PointObject(900, geom.Point{0.5, 0.52})
-	if err := s.Insert(o); err != nil {
+	if err := s.InsertCtx(context.Background(), o); err != nil {
 		t.Fatal(err)
 	}
 	if err := mon.Sync(context.Background()); err != nil {

@@ -99,9 +99,9 @@ type Options struct {
 	Policy Policy
 	// CursorPath, when set, gives the monitor a durable cursor: the
 	// file persists the last fully-delivered store version and the
-	// result set of every named subscription (SubscribeKNNDurable /
-	// SubscribeRKNNDurable). After a restart, re-subscribing under the
-	// same name delivers the coalesced delta between the cursor and the
+	// result set of every named subscription (Monitor.Subscribe with a
+	// name). After a restart, re-subscribing under the same name
+	// delivers the coalesced delta between the cursor and the
 	// recovered store head instead of the full result set — resumption
 	// from the last delivered version, not from genesis.
 	CursorPath string

@@ -1,6 +1,7 @@
 package cq
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -163,17 +164,17 @@ func runMutationTrace(t *testing.T, seed int64) {
 		cases = append(cases, &subCase{sub: sub, view: newTraceView(name), want: want})
 	}
 	k := 2 + int(seed%3)
-	sub1, err1 := m.SubscribeKNN(q1, k, 0.35)
+	sub1, err1 := m.Subscribe("", KNN, q1, k, 0.35)
 	addCase("knn", sub1, err1, func(e *query.Engine) map[int]gf.Interval {
-		return resultSet(e.KNN(q1, k, 0.35))
+		return resultSet(must(e.KNNCtx(context.Background(), q1, k, 0.35)))
 	})
-	sub2, err2 := m.SubscribeKNN(q2, 2, 0) // tau = 0: no preselection, everything is a result
+	sub2, err2 := m.Subscribe("", KNN, q2, 2, 0) // tau = 0: no preselection, everything is a result
 	addCase("knn-tau0", sub2, err2, func(e *query.Engine) map[int]gf.Interval {
-		return resultSet(e.KNN(q2, 2, 0))
+		return resultSet(must(e.KNNCtx(context.Background(), q2, 2, 0)))
 	})
-	sub3, err3 := m.SubscribeRKNN(q3, k, 0.25)
+	sub3, err3 := m.Subscribe("", RKNN, q3, k, 0.25)
 	addCase("rknn", sub3, err3, func(e *query.Engine) map[int]gf.Interval {
-		return resultSet(e.RKNN(q3, k, 0.25))
+		return resultSet(must(e.RKNNCtx(context.Background(), q3, k, 0.25)))
 	})
 
 	check := func(version uint64) {
@@ -204,7 +205,7 @@ func runMutationTrace(t *testing.T, seed int64) {
 				}
 			}
 			nextID++
-			if err := store.Insert(o); err != nil {
+			if err := store.InsertCtx(context.Background(), o); err != nil {
 				t.Fatal(err)
 			}
 			mirror = append(mirror, o)
@@ -216,13 +217,13 @@ func runMutationTrace(t *testing.T, seed int64) {
 					t.Fatal(err)
 				}
 			}
-			if err := store.Update(o); err != nil {
+			if err := store.UpdateCtx(context.Background(), o); err != nil {
 				t.Fatal(err)
 			}
 			mirror[i] = o
 		default:
 			i := rng.Intn(len(mirror))
-			if !store.Delete(mirror[i].ID) {
+			if !must(store.DeleteCtx(context.Background(), mirror[i].ID)) {
 				t.Fatalf("delete of %d failed", mirror[i].ID)
 			}
 			mirror = append(mirror[:i], mirror[i+1:]...)

@@ -1,6 +1,7 @@
 package cq
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -24,7 +25,7 @@ func TestSavedCounter(t *testing.T) {
 	subs := make([]*Subscription, nSubs)
 	for i := range subs {
 		q := objectNear(rng, -(i + 1), rng.Float64(), rng.Float64(), 0.02)
-		sub, err := m.SubscribeKNN(q, k, 0.3)
+		sub, err := m.Subscribe("", KNN, q, k, 0.3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +40,7 @@ func TestSavedCounter(t *testing.T) {
 	// standing, so wakes imply saves.
 	for step := 0; m.Stats().Woken == 0 && step < 50; step++ {
 		victim := db[rng.Intn(len(db))].ID
-		if err := store.Update(objectNear(rng, victim, rng.Float64(), rng.Float64(), 0.02)); err != nil {
+		if err := store.UpdateCtx(context.Background(), objectNear(rng, victim, rng.Float64(), rng.Float64(), 0.02)); err != nil {
 			t.Fatal(err)
 		}
 		if err := m.Sync(ctx); err != nil {
@@ -75,7 +76,7 @@ func TestAccessorsAndCursorOps(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(43))
 	q := objectNear(rng, -1, 0.4, 0.4, 0.02)
-	sub, err := m.SubscribeKNNDurable("acc", q, 3, 0.3)
+	sub, err := m.Subscribe("acc", KNN, q, 3, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestAccessorsAndCursorOps(t *testing.T) {
 	if err := m.Forget("acc"); err == nil {
 		t.Fatal("Forget succeeded while the name is live")
 	}
-	m.Unsubscribe(sub)
+	sub.Cancel()
 	for range sub.Events() {
 	}
 	if err := sub.Err(); err != ErrUnsubscribed {

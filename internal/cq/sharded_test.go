@@ -1,6 +1,7 @@
 package cq
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -47,11 +48,11 @@ func TestShardedMonitorRaceStress(t *testing.T) {
 	qrng := rand.New(rand.NewSource(17))
 	q1 := objectNear(qrng, -1, 0.4, 0.4, 0.1)
 	q2 := objectNear(qrng, -2, 0.6, 0.6, 0.1)
-	sub1, err := m.SubscribeKNN(q1, 3, 0.3)
+	sub1, err := m.Subscribe("", KNN, q1, 3, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub2, err := m.SubscribeRKNN(q2, 2, 0.3)
+	sub2, err := m.Subscribe("", RKNN, q2, 2, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestShardedMonitorRaceStress(t *testing.T) {
 				case 0:
 					o := objectNear(rng, nextID, rng.Float64(), rng.Float64(), 0.05)
 					nextID++
-					if err := ss.Insert(o); err != nil {
+					if err := ss.InsertCtx(context.Background(), o); err != nil {
 						t.Error(err)
 						return
 					}
@@ -84,7 +85,7 @@ func TestShardedMonitorRaceStress(t *testing.T) {
 				case 1:
 					id := owned[rng.Intn(len(owned))]
 					o := objectNear(rng, id, rng.Float64(), rng.Float64(), 0.05)
-					if err := ss.Update(o); err != nil {
+					if err := ss.UpdateCtx(context.Background(), o); err != nil {
 						t.Error(err)
 						return
 					}
@@ -93,7 +94,7 @@ func TestShardedMonitorRaceStress(t *testing.T) {
 						continue
 					}
 					j := rng.Intn(len(owned))
-					if !ss.Delete(owned[j]) {
+					if !must(ss.DeleteCtx(context.Background(), owned[j])) {
 						t.Errorf("writer %d: delete of owned ID %d failed", w, owned[j])
 						return
 					}
@@ -113,7 +114,7 @@ func TestShardedMonitorRaceStress(t *testing.T) {
 				snap := ss.Snapshot()
 				e := snap.Engine()
 				q := objectNear(rng, -100-r, rng.Float64(), rng.Float64(), 0.1)
-				if a, b := e.KNN(q, 3, 0.3), e.KNN(q, 3, 0.3); !reflect.DeepEqual(a, b) {
+				if a, b := must(e.KNNCtx(context.Background(), q, 3, 0.3)), must(e.KNNCtx(context.Background(), q, 3, 0.3)); !reflect.DeepEqual(a, b) {
 					t.Errorf("reader %d: repeated KNN on one sharded snapshot diverged", r)
 					return
 				}
@@ -182,6 +183,6 @@ func TestShardedMonitorRaceStress(t *testing.T) {
 			t.Fatalf("%s: %d events beyond the final version %d", name, len(evs)-i, final)
 		}
 	}
-	verify("sharded-knn", sub1, func(e *query.Engine) []query.Match { return e.KNN(q1, 3, 0.3) })
-	verify("sharded-rknn", sub2, func(e *query.Engine) []query.Match { return e.RKNN(q2, 2, 0.3) })
+	verify("sharded-knn", sub1, func(e *query.Engine) []query.Match { return must(e.KNNCtx(context.Background(), q1, 3, 0.3)) })
+	verify("sharded-rknn", sub2, func(e *query.Engine) []query.Match { return must(e.RKNNCtx(context.Background(), q2, 2, 0.3)) })
 }

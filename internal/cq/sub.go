@@ -1,6 +1,7 @@
 package cq
 
 import (
+	"context"
 	"math"
 	"sort"
 	"sync"
@@ -159,6 +160,8 @@ func (s *Subscription) finish(err error) {
 func (s *Subscription) init(sn *query.Snapshot) []Event {
 	e := sn.Engine()
 	s.cache = e.NewQueryCache()
+	// The queries run under context.Background, which never cancels, so
+	// their error is always nil.
 	var matches []query.Match
 	switch s.kind {
 	case KNN:
@@ -166,9 +169,9 @@ func (s *Subscription) init(sn *query.Snapshot) []Event {
 		if s.tau > 0 {
 			s.thresh = e.KNNThreshold(s.q, s.k)
 		}
-		matches = e.KNN(s.q, s.k, s.tau)
+		matches, _ = e.KNNCtx(context.Background(), s.q, s.k, s.tau)
 	case RKNN:
-		matches = e.RKNN(s.q, s.k, s.tau)
+		matches, _ = e.RKNNCtx(context.Background(), s.q, s.k, s.tau)
 	}
 	var results []query.Match
 	for _, nm := range matches {

@@ -152,3 +152,18 @@ func TestBoundsWithMinMaxCriterionAreLooserButSound(t *testing.T) {
 		}
 	}
 }
+
+// TestClampInterval: float rounding in the mass sums never yields an
+// interval outside [0, 1] or with UB < LB.
+func TestClampInterval(t *testing.T) {
+	for _, c := range []struct{ lb, ub, wantLB, wantUB float64 }{
+		{-1e-17, 0.5, 0, 0.5},
+		{0.2, 1 + 1e-15, 0.2, 1},
+		{0.6, 0.6 - 1e-16, 0.6, 0.6},
+		{0.3, 0.7, 0.3, 0.7},
+	} {
+		if iv := clampInterval(c.lb, c.ub); iv.LB != c.wantLB || iv.UB != c.wantUB {
+			t.Errorf("clampInterval(%g, %g) = %+v, want [%g, %g]", c.lb, c.ub, iv, c.wantLB, c.wantUB)
+		}
+	}
+}

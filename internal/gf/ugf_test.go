@@ -2,6 +2,7 @@ package gf
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -229,5 +230,36 @@ func BenchmarkUGFTruncatedK5(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		f := NewTruncatedUGF(5)
 		f.MultiplyAll(ivs)
+	}
+}
+
+// TestUGFMultiplyAllAndReset: MultiplyAll is a fold of Multiply, and a
+// reset UGF reproduces a fresh one's bounds bit for bit, with or
+// without truncation.
+func TestUGFMultiplyAllAndReset(t *testing.T) {
+	ivs := []Interval{{LB: 0.2, UB: 0.5}, {LB: 0.6, UB: 0.8}, {LB: 0.1, UB: 0.9}}
+	one := NewUGF()
+	for _, iv := range ivs {
+		one.Multiply(iv)
+	}
+	all := NewUGF()
+	all.MultiplyAll(ivs)
+	if !reflect.DeepEqual(one.Bounds(), all.Bounds()) {
+		t.Fatal("MultiplyAll differs from successive Multiply")
+	}
+	for _, kMax := range []int{-1, 0, 2} {
+		fresh := NewUGF()
+		if kMax > 0 {
+			fresh = NewTruncatedUGF(kMax)
+		}
+		fresh.MultiplyAll(ivs)
+		all.Reset(kMax)
+		if all.N() != 0 {
+			t.Fatalf("N after Reset = %d", all.N())
+		}
+		all.MultiplyAll(ivs)
+		if !reflect.DeepEqual(fresh.Bounds(), all.Bounds()) {
+			t.Fatalf("kMax %d: reset UGF bounds %v, fresh %v", kMax, all.Bounds(), fresh.Bounds())
+		}
 	}
 }

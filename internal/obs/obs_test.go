@@ -283,3 +283,85 @@ func TestObsConcurrency(t *testing.T) {
 		t.Errorf("trace = %+v", s)
 	}
 }
+
+// TestValueHistogram: a value-fed histogram reports bucket upper
+// bounds clamped to the observed maximum, the overflow bucket reports
+// the maximum itself, and AddHistValue flattens the summary under
+// dimensionless keys.
+func TestValueHistogram(t *testing.T) {
+	var empty Histogram
+	if q := empty.Snapshot().QuantileValue(0.5); q != 0 {
+		t.Fatalf("empty QuantileValue = %d", q)
+	}
+	var h Histogram
+	for _, v := range []uint64{0, 3, 5, 100} {
+		h.ObserveValue(v)
+	}
+	s := h.Snapshot()
+	for _, c := range []struct {
+		p    float64
+		want uint64
+	}{{-1, 0}, {0.25, 0}, {0.5, 4}, {0.75, 8}, {2, 100}} {
+		if got := s.QuantileValue(c.p); got != c.want {
+			t.Errorf("QuantileValue(%g) = %d, want %d", c.p, got, c.want)
+		}
+	}
+	out := map[string]int64{}
+	AddHistValue(out, "b", s)
+	want := map[string]int64{"b.count": 4, "b.sum": 108, "b.p50": 4, "b.p95": 100, "b.p99": 100, "b.max": 100}
+	for k, v := range want {
+		if out[k] != v {
+			t.Errorf("%s = %d, want %d", k, out[k], v)
+		}
+	}
+	var big Histogram
+	big.ObserveValue(1 << 50)
+	if got := big.Snapshot().QuantileValue(0.5); got != 1<<50 {
+		t.Fatalf("overflow-bucket QuantileValue = %d, want the maximum", got)
+	}
+}
+
+// TestRegistryTypeConflictPanicsEveryKind: a name holds one metric
+// kind, whichever kind claimed it first.
+func TestRegistryTypeConflictPanicsEveryKind(t *testing.T) {
+	for _, c := range []struct {
+		name        string
+		first, then func(*Registry)
+	}{
+		{"gauge then histogram", func(r *Registry) { r.Gauge("x") }, func(r *Registry) { r.Histogram("x") }},
+		{"histogram then counter", func(r *Registry) { r.Histogram("x") }, func(r *Registry) { r.Counter("x") }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			r := NewRegistry()
+			c.first(r)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("re-registering under another kind did not panic")
+				}
+			}()
+			c.then(r)
+		})
+	}
+}
+
+// TestTraceWALWaitQueueReset: the mutation and dispatch spans record
+// like the query phases, and Reset zeroes every counter for reuse.
+func TestTraceWALWaitQueueReset(t *testing.T) {
+	var none *Trace
+	none.AddWALWait(time.Millisecond)
+	none.AddQueue(time.Millisecond)
+	none.Reset()
+	tr := &Trace{}
+	tr.AddCandidates(3)
+	tr.AddWALWait(3 * time.Millisecond)
+	tr.AddWALWait(-time.Second) // no-op
+	tr.AddQueue(time.Millisecond)
+	tr.AddQueue(0) // no-op
+	if s := tr.Snapshot(); s.WALWait != 3*time.Millisecond || s.Queue != time.Millisecond || s.Candidates != 3 {
+		t.Fatalf("snapshot = %+v", s)
+	}
+	tr.Reset()
+	if s := tr.Snapshot(); s != (TraceSnapshot{}) {
+		t.Fatalf("snapshot after Reset = %+v", s)
+	}
+}

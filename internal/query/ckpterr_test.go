@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -57,7 +58,7 @@ func TestAutoCheckpointFailureSurfacedStore(t *testing.T) {
 		return uncertain.PointObject(1000+i, geom.Point{0.1 * float64(i), 0.2})
 	}
 	for i := 0; i < 3; i++ { // the third commit trips the failing auto-checkpoint
-		if err := s.Insert(obj(i)); err != nil {
+		if err := s.InsertCtx(context.Background(), obj(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -65,7 +66,7 @@ func TestAutoCheckpointFailureSurfacedStore(t *testing.T) {
 	lenBefore, verBefore := s.Len(), s.Version()
 
 	// The next commit surfaces the deferred failure and is rejected.
-	wantCkptErr(t, s.Insert(obj(3)), "insert after failed checkpoint")
+	wantCkptErr(t, s.InsertCtx(context.Background(), obj(3)), "insert after failed checkpoint")
 	if s.Len() != lenBefore || s.Version() != verBefore {
 		t.Fatalf("rejected commit mutated the store: len %d→%d version %d→%d",
 			lenBefore, s.Len(), verBefore, s.Version())
@@ -78,7 +79,7 @@ func TestAutoCheckpointFailureSurfacedStore(t *testing.T) {
 	// and re-trips the still-failing install; Sync is the other
 	// surfacing point.
 	for i := 3; i < 6; i++ {
-		if err := s.Insert(obj(i)); err != nil {
+		if err := s.InsertCtx(context.Background(), obj(i)); err != nil {
 			t.Fatalf("insert after surfacing: %v", err)
 		}
 	}
@@ -96,7 +97,7 @@ func TestAutoCheckpointFailureSurfacedStore(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint after unblocking: %v", err)
 	}
-	if err := s.Insert(obj(6)); err != nil {
+	if err := s.InsertCtx(context.Background(), obj(6)); err != nil {
 		t.Fatalf("insert after unblocking: %v", err)
 	}
 	if err := s.Sync(); err != nil {
@@ -138,25 +139,25 @@ func TestAutoCheckpointFailureSurfacedSharded(t *testing.T) {
 		return uncertain.PointObject(2000+i, geom.Point{0.07 * float64(i), 0.4})
 	}
 	for i := 0; i < 3; i++ {
-		if err := s.Insert(obj(i)); err != nil {
+		if err := s.InsertCtx(context.Background(), obj(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	s.drainCheckpoints() // let the background install fail
 	lenBefore, verBefore := s.Len(), s.Version()
-	wantCkptErr(t, s.Insert(obj(3)), "sharded insert after failed checkpoint")
+	wantCkptErr(t, s.InsertCtx(context.Background(), obj(3)), "sharded insert after failed checkpoint")
 	if s.Len() != lenBefore || s.Version() != verBefore {
 		t.Fatal("rejected commit mutated the sharded store")
 	}
 	// Surfaced once: commits flow again until the auto-checkpoint
 	// policy trips the blocked path a second time (3 commits later).
-	if err := s.Update(obj(1)); err != nil {
+	if err := s.UpdateCtx(context.Background(), obj(1)); err != nil {
 		t.Fatalf("update after surfacing: %v", err)
 	}
-	if err := s.Insert(obj(3)); err != nil {
+	if err := s.InsertCtx(context.Background(), obj(3)); err != nil {
 		t.Fatalf("insert after surfacing: %v", err)
 	}
-	if found, err := s.DeleteErr(obj(0).ID); err != nil || !found {
+	if found, err := s.DeleteCtx(context.Background(), obj(0).ID); err != nil || !found {
 		t.Fatalf("delete after surfacing: found=%v err=%v", found, err)
 	}
 	s.drainCheckpoints()

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -42,7 +43,7 @@ func TestCheckpointUnderLoad(t *testing.T) {
 		return uncertain.PointObject(3000+i, geom.Point{0.05 * float64(i), 0.3})
 	}
 	for i := 0; i < 4; i++ { // trips the auto-checkpoint policy
-		if err := s.Insert(obj(i)); err != nil {
+		if err := s.InsertCtx(context.Background(), obj(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -58,7 +59,7 @@ func TestCheckpointUnderLoad(t *testing.T) {
 	committed := make(chan error, 1)
 	go func() {
 		for i := 4; i < 4+extra; i++ {
-			if err := s.Insert(obj(i)); err != nil {
+			if err := s.InsertCtx(context.Background(), obj(i)); err != nil {
 				committed <- fmt.Errorf("insert %d: %w", i, err)
 				return
 			}
@@ -122,7 +123,7 @@ func TestKillPointStoreCheckpointInstall(t *testing.T) {
 		return uncertain.PointObject(4000+i, geom.Point{0.04 * float64(i), 0.6})
 	}
 	for i := 0; i < 8; i++ {
-		if err := s.Insert(obj(i)); err != nil {
+		if err := s.InsertCtx(context.Background(), obj(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -133,7 +134,7 @@ func TestKillPointStoreCheckpointInstall(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 8; i < 12; i++ { // commits that land after the pin
-		if err := s.Insert(obj(i)); err != nil {
+		if err := s.InsertCtx(context.Background(), obj(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -193,7 +194,7 @@ func TestKillPointShardedCheckpointInstall(t *testing.T) {
 		return uncertain.PointObject(5000+i, geom.Point{0.06 * float64(i), 0.8})
 	}
 	for i := 0; i < 10; i++ {
-		if err := s.Insert(obj(i)); err != nil {
+		if err := s.InsertCtx(context.Background(), obj(i)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -37,7 +37,7 @@ func TestDurableShardedLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Insert(uncertain.PointObject(9001, geom.Point{0.2, 0.2})); err != nil {
+	if err := s.InsertCtx(context.Background(), uncertain.PointObject(9001, geom.Point{0.2, 0.2})); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Sync(); err != nil {
@@ -56,9 +56,8 @@ func TestDurableShardedLifecycle(t *testing.T) {
 	if snap.NumShards() != 3 || snap.Shard(0) == nil || snap.Len() != s.Len() {
 		t.Fatal("snapshot shape wrong")
 	}
-	s.RankByExpectedRank(q)
-	s.UKRanks(q, 2)
-	s.Batch(func(e *Engine) { e.KNN(q, 2, 0.5) })
+	must(s.RankByExpectedRankCtx(context.Background(), q))
+	must(s.UKRanksCtx(context.Background(), q, 2))
 	if err := s.BatchCtx(context.Background(), func(ctx context.Context, e *Engine) error {
 		_, err := e.KNNCtx(ctx, q, 2, 0.5)
 		return err
@@ -80,7 +79,7 @@ func TestDurableShardedLifecycle(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Insert(uncertain.PointObject(9002, geom.Point{0.1, 0.1})); err == nil {
+	if err := s.InsertCtx(context.Background(), uncertain.PointObject(9002, geom.Point{0.1, 0.1})); err == nil {
 		t.Fatal("insert after Close succeeded")
 	}
 	if err := s.Checkpoint(); err == nil {
@@ -102,8 +101,8 @@ func TestDurableShardedLifecycle(t *testing.T) {
 	}
 }
 
-// TestDeleteErrAndChangeKinds covers the journal-aware delete variant
-// and the Change/ChangeKind accessors.
+// TestDeleteErrAndChangeKinds covers DeleteCtx's found/not-found
+// answers on a durable store and the Change/ChangeKind accessors.
 func TestDeleteErrAndChangeKinds(t *testing.T) {
 	db, _ := traceCase(t, 13, false)
 	s, err := BootstrapStore(db, PersistOptions{Dir: filepath.Join(t.TempDir(), "db")}, core.Options{MaxIterations: 2})
@@ -111,13 +110,13 @@ func TestDeleteErrAndChangeKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	ok, err := s.DeleteErr(db[0].ID)
+	ok, err := s.DeleteCtx(context.Background(), db[0].ID)
 	if !ok || err != nil {
-		t.Fatalf("DeleteErr = %v, %v", ok, err)
+		t.Fatalf("DeleteCtx = %v, %v", ok, err)
 	}
-	ok, err = s.DeleteErr(db[0].ID)
+	ok, err = s.DeleteCtx(context.Background(), db[0].ID)
 	if ok || err != nil {
-		t.Fatalf("second DeleteErr = %v, %v", ok, err)
+		t.Fatalf("second DeleteCtx = %v, %v", ok, err)
 	}
 	for kind, want := range map[ChangeKind]string{
 		ChangeInsert: "insert", ChangeUpdate: "update", ChangeDelete: "delete", ChangeKind(9): "unknown",
@@ -125,5 +124,30 @@ func TestDeleteErrAndChangeKinds(t *testing.T) {
 		if kind.String() != want {
 			t.Fatalf("%d.String() = %q", kind, kind.String())
 		}
+	}
+}
+
+// TestDeleteCtxClosedStoreErrors: a delete that cannot be journaled
+// reports its error. On a closed durable store a stored ID answers a
+// non-nil error, not the (false, nil) of an ID that is not stored, and
+// the object stays in memory.
+func TestDeleteCtxClosedStoreErrors(t *testing.T) {
+	db, _ := traceCase(t, 13, false)
+	s, err := BootstrapStore(db, PersistOptions{Dir: filepath.Join(t.TempDir(), "db")}, core.Options{MaxIterations: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ok, err := s.DeleteCtx(context.Background(), db[0].ID)
+	if err == nil {
+		t.Fatalf("DeleteCtx on a closed store = %v, nil; want an error", ok)
+	}
+	if ok {
+		t.Fatal("DeleteCtx reported a delete it did not journal")
+	}
+	if _, stored := s.Get(db[0].ID); !stored {
+		t.Fatal("failed delete removed the object")
 	}
 }

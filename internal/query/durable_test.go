@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -69,24 +70,28 @@ type traceOp struct {
 // durableMutator is the mutation surface of a Store; applyOp adds the
 // migration ops.
 type durableMutator interface {
-	Insert(*uncertain.Object) error
-	Update(*uncertain.Object) error
-	Delete(int) bool
+	InsertCtx(context.Context, *uncertain.Object) error
+	UpdateCtx(context.Context, *uncertain.Object) error
+	DeleteCtx(context.Context, int) (bool, error)
 }
 
 func applyOp(t *testing.T, s durableMutator, op traceOp) {
 	t.Helper()
 	switch op.kind {
 	case 'i':
-		if err := s.Insert(op.obj); err != nil {
+		if err := s.InsertCtx(context.Background(), op.obj); err != nil {
 			t.Fatal(err)
 		}
 	case 'u':
-		if err := s.Update(op.obj); err != nil {
+		if err := s.UpdateCtx(context.Background(), op.obj); err != nil {
 			t.Fatal(err)
 		}
 	case 'd':
-		if !s.Delete(op.id) {
+		ok, err := s.DeleteCtx(context.Background(), op.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
 			t.Fatalf("delete of %d found nothing", op.id)
 		}
 	case 'm':
@@ -188,15 +193,7 @@ func matchesEqual(a, b []Match) error {
 
 // compareBackends asserts the two stores answer every query kind
 // bit-identically.
-func compareBackends(t *testing.T, label string, got, want interface {
-	KNN(*uncertain.Object, int, float64) []Match
-	RKNN(*uncertain.Object, int, float64) []Match
-	TopKNN(*uncertain.Object, int, int) []Match
-	InverseRank(*uncertain.Object, *uncertain.Object) *RankDistribution
-	Get(int) (*uncertain.Object, bool)
-	Len() int
-	Version() uint64
-}) {
+func compareBackends(t *testing.T, label string, got, want *Store) {
 	t.Helper()
 	if got.Len() != want.Len() {
 		t.Fatalf("%s: %d objects, want %d", label, got.Len(), want.Len())
@@ -212,10 +209,10 @@ func compareBackends(t *testing.T, label string, got, want interface {
 		if err := matchesEqual(got.KNN(q, 3, 0.3), want.KNN(q, 3, 0.3)); err != nil {
 			t.Fatalf("%s: KNN q%d: %v", label, qi, err)
 		}
-		if err := matchesEqual(got.RKNN(q, 2, 0.4), want.RKNN(q, 2, 0.4)); err != nil {
+		if err := matchesEqual(must(got.RKNNCtx(context.Background(), q, 2, 0.4)), must(want.RKNNCtx(context.Background(), q, 2, 0.4))); err != nil {
 			t.Fatalf("%s: RKNN q%d: %v", label, qi, err)
 		}
-		if err := matchesEqual(got.TopKNN(q, 3, 4), want.TopKNN(q, 3, 4)); err != nil {
+		if err := matchesEqual(must(got.TopKNNCtx(context.Background(), q, 3, 4)), must(want.TopKNNCtx(context.Background(), q, 3, 4))); err != nil {
 			t.Fatalf("%s: TopKNN q%d: %v", label, qi, err)
 		}
 	}
@@ -318,10 +315,10 @@ func TestCrashRecoveryEquivalence(t *testing.T) {
 					// The reopened store keeps serving: mutate both and
 					// compare again.
 					extra := uncertain.PointObject(100000+int(seed), geom.Point{0.31, 0.62})
-					if err := reopened.Insert(extra); err != nil {
+					if err := reopened.InsertCtx(context.Background(), extra); err != nil {
 						t.Fatal(err)
 					}
-					if err := mirror.Insert(extra); err != nil {
+					if err := mirror.InsertCtx(context.Background(), extra); err != nil {
 						t.Fatal(err)
 					}
 					compareBackends(t, label+" after reopen-insert", reopened, mirror)
@@ -361,7 +358,7 @@ func TestDurableStoreBasics(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Insert(uncertain.PointObject(99999, geom.Point{0, 0})); err == nil {
+	if err := s.InsertCtx(context.Background(), uncertain.PointObject(99999, geom.Point{0, 0})); err == nil {
 		t.Fatal("insert after Close succeeded")
 	}
 	if _, err := BootstrapStore(db, popts, opts); err == nil {
@@ -611,7 +608,7 @@ func TestGroupCommitSharesFsyncs(t *testing.T) {
 					for i := 0; i < perWriter; i++ {
 						id := db[(w*perWriter+i)%len(db)].ID
 						o := uncertain.PointObject(id, geom.Point{float64(w) / writers, float64(i) / perWriter})
-						if err := s.Update(o); err != nil {
+						if err := s.UpdateCtx(context.Background(), o); err != nil {
 							errs <- err
 							return
 						}
@@ -677,7 +674,7 @@ func TestRecoveryEpochGap(t *testing.T) {
 	lost := uncertain.PointObject(9001, geom.Point{0.1, 0.5})   // shard 0
 	orphan := uncertain.PointObject(9002, geom.Point{0.9, 0.5}) // shard 1
 	for _, o := range []*uncertain.Object{lost, orphan} {
-		if err := s.Insert(o); err != nil {
+		if err := s.InsertCtx(context.Background(), o); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -713,7 +710,7 @@ func TestRecoveryEpochGap(t *testing.T) {
 				t.Fatalf("reopen 1 at version %d, want %d", r.Version(), base)
 			}
 			for _, st := range []*Store{r, mirror} {
-				if err := st.Insert(next); err != nil {
+				if err := st.InsertCtx(context.Background(), next); err != nil {
 					t.Fatal(err)
 				}
 			}

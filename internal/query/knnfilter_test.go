@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sort"
@@ -108,7 +109,7 @@ func TestKNNWithPreselectionMatchesExact(t *testing.T) {
 	q := randObj(rng, 500, 8, 5, 5, 2)
 	eng := NewEngine(db, core.Options{MaxIterations: 8})
 	const k, tau = 3, 0.5
-	for _, m := range eng.KNN(q, k, tau) {
+	for _, m := range must(eng.KNNCtx(context.Background(), q, k, tau)) {
 		exact := exactTail(db, m.Object, q, k)
 		if !m.Prob.Contains(exact, 1e-9) {
 			t.Fatalf("object %d: exact %g outside [%g, %g]", m.Object.ID, exact, m.Prob.LB, m.Prob.UB)

@@ -192,7 +192,7 @@ func TestStoreMetricsShared(t *testing.T) {
 	if _, err := s.KNNCtx(ctx, q, 2, 0.3); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Update(randObj(rng, db[0].ID, 4, 5, 5, 1.5)); err != nil {
+	if err := s.UpdateCtx(context.Background(), randObj(rng, db[0].ID, 4, 5, 5, 1.5)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.KNNCtx(ctx, q, 2, 0.3); err != nil { // fresh snapshot engine

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -114,7 +115,7 @@ func TestOracleKNN(t *testing.T) {
 			oc := newOracleCase(t, seed, 1+int(seed%3))
 			k := 2 + int(seed%3)
 			tau := []float64{0.3, 0.5, 0.8}[seed%3]
-			for _, m := range oc.eng.KNN(oc.q, k, tau) {
+			for _, m := range must(oc.eng.KNNCtx(context.Background(), oc.q, k, tau)) {
 				exact := oc.exactCDF(m.Object, oc.q, k)
 				checkContains(t, seed, fmt.Sprintf("KNN(k=%d) object %d", k, m.Object.ID),
 					m.Prob.LB, m.Prob.UB, exact)
@@ -143,7 +144,7 @@ func TestOracleRKNN(t *testing.T) {
 			oc := newOracleCase(t, seed, 1)
 			k := 1 + int(seed%3)
 			tau := 0.4
-			for _, m := range oc.eng.RKNN(oc.q, k, tau) {
+			for _, m := range must(oc.eng.RKNNCtx(context.Background(), oc.q, k, tau)) {
 				// RKNN evaluates q as the target against candidate B as
 				// the reference.
 				exact := oc.exactCDF(oc.q, m.Object, k)
@@ -173,7 +174,7 @@ func TestOracleTopKNN(t *testing.T) {
 			t.Parallel()
 			oc := newOracleCase(t, seed, 1)
 			k, m := 3, 3
-			selected := oc.eng.TopKNN(oc.q, k, m)
+			selected := must(oc.eng.TopKNNCtx(context.Background(), oc.q, k, m))
 			// Exact probability of every database object.
 			exact := make(map[int]float64, len(oc.db))
 			for _, o := range oc.db {

@@ -29,8 +29,8 @@ func TestParallelKNNMatchesSequential(t *testing.T) {
 	for _, seed := range []int64{400, 401, 402} {
 		seq, par, rng := enginePair(seed, 30, 12, 4)
 		q := randObj(rng, 500, 12, 5, 5, 2)
-		a := seq.KNN(q, 3, 0.5)
-		b := par.KNN(q, 3, 0.5)
+		a := must(seq.KNNCtx(context.Background(), q, 3, 0.5))
+		b := must(par.KNNCtx(context.Background(), q, 3, 0.5))
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("seed %d: parallel KNN differs from sequential", seed)
 		}
@@ -41,8 +41,8 @@ func TestParallelRKNNMatchesSequential(t *testing.T) {
 	for _, seed := range []int64{410, 411, 412} {
 		seq, par, rng := enginePair(seed, 25, 12, 4)
 		q := randObj(rng, 500, 12, 5, 5, 2)
-		a := seq.RKNN(q, 2, 0.5)
-		b := par.RKNN(q, 2, 0.5)
+		a := must(seq.RKNNCtx(context.Background(), q, 2, 0.5))
+		b := must(par.RKNNCtx(context.Background(), q, 2, 0.5))
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("seed %d: parallel RKNN differs from sequential", seed)
 		}
@@ -53,8 +53,8 @@ func TestParallelRankingMatchesSequential(t *testing.T) {
 	for _, seed := range []int64{420, 421} {
 		seq, par, rng := enginePair(seed, 20, 12, 4)
 		q := randObj(rng, 500, 12, 5, 5, 2)
-		a := seq.RankByExpectedRank(q)
-		b := par.RankByExpectedRank(q)
+		a := must(seq.RankByExpectedRankCtx(context.Background(), q))
+		b := must(par.RankByExpectedRankCtx(context.Background(), q))
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("seed %d: parallel ranking differs from sequential", seed)
 		}
@@ -65,8 +65,8 @@ func TestParallelTopKNNMatchesSequential(t *testing.T) {
 	for _, seed := range []int64{430, 431} {
 		seq, par, rng := enginePair(seed, 25, 12, 4)
 		q := randObj(rng, 500, 12, 5, 5, 2)
-		a := seq.TopKNN(q, 3, 5)
-		b := par.TopKNN(q, 3, 5)
+		a := must(seq.TopKNNCtx(context.Background(), q, 3, 5))
+		b := must(par.TopKNNCtx(context.Background(), q, 3, 5))
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("seed %d: parallel TopKNN differs from sequential", seed)
 		}
@@ -76,8 +76,8 @@ func TestParallelTopKNNMatchesSequential(t *testing.T) {
 func TestParallelUKRanksMatchesSequential(t *testing.T) {
 	seq, par, rng := enginePair(440, 20, 12, 4)
 	q := randObj(rng, 500, 12, 5, 5, 2)
-	a := seq.UKRanks(q, 4)
-	b := par.UKRanks(q, 4)
+	a := must(seq.UKRanksCtx(context.Background(), q, 4))
+	b := must(par.UKRanksCtx(context.Background(), q, 4))
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("parallel UKRanks differs from sequential")
 	}
@@ -114,7 +114,7 @@ func TestDefaultParallelismMatchesExplicitSequential(t *testing.T) {
 	q := randObj(rng, 500, 12, 5, 5, 2)
 	def := NewEngine(db, core.Options{MaxIterations: 5})
 	one := NewEngine(db, core.Options{MaxIterations: 5, Parallelism: 1})
-	if !reflect.DeepEqual(def.KNN(q, 3, 0.5), one.KNN(q, 3, 0.5)) {
+	if !reflect.DeepEqual(must(def.KNNCtx(context.Background(), q, 3, 0.5)), must(one.KNNCtx(context.Background(), q, 3, 0.5))) {
 		t.Fatal("default-parallelism KNN differs from single-worker KNN")
 	}
 }
@@ -178,8 +178,8 @@ func TestRKNNWithoutIndexMatchesIndexed(t *testing.T) {
 	q := randObj(rng, 500, 12, 5, 5, 2)
 	withIdx := NewEngine(db, core.Options{MaxIterations: 5})
 	noIdx := &Engine{DB: db, Opts: core.Options{MaxIterations: 5}}
-	a := withIdx.RKNN(q, 2, 0.5)
-	b := noIdx.RKNN(q, 2, 0.5)
+	a := must(withIdx.RKNNCtx(context.Background(), q, 2, 0.5))
+	b := must(noIdx.RKNNCtx(context.Background(), q, 2, 0.5))
 	if len(a) != len(b) {
 		t.Fatalf("match counts differ: %d vs %d", len(a), len(b))
 	}
@@ -206,7 +206,7 @@ func TestKNNLinearFallbackPrunes(t *testing.T) {
 		t.Fatalf("unexpected fallback threshold %g", thresh)
 	}
 	prunedIterations := 0
-	for _, m := range noIdx.KNN(q, 3, 0.5) {
+	for _, m := range must(noIdx.KNNCtx(context.Background(), q, 3, 0.5)) {
 		if knnPrunable(m.Object, q, thresh, geom.L2) {
 			if m.Iterations != 0 || m.IsResult || !m.Decided {
 				t.Fatalf("prunable object %d was not preselected: %+v", m.Object.ID, m)

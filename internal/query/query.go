@@ -176,19 +176,13 @@ func ThresholdStop(k int, tau float64) func(*core.Result) bool {
 	}
 }
 
-// KNN answers the probabilistic threshold kNN query of Corollary 4:
+// KNNCtx answers the probabilistic threshold kNN query of Corollary 4:
 // all objects B with P(B ∈ kNN(q)) = P(DomCount(B, q) < k) >= tau.
 // It returns a Match per database object (q itself excluded, if it is a
-// database object).
-func (e *Engine) KNN(q *uncertain.Object, k int, tau float64) []Match {
-	matches, _ := e.KNNCtx(context.Background(), q, k, tau)
-	return matches
-}
-
-// KNNCtx is KNN with cancellation: when ctx is cancelled before the
-// query completes, (nil, ctx.Err()) is returned. Candidates are
-// evaluated concurrently on Options.Parallelism workers; the result is
-// identical to the sequential evaluation, in database order.
+// database object). When ctx is cancelled before the query completes,
+// (nil, ctx.Err()) is returned. Candidates are evaluated concurrently
+// on Options.Parallelism workers; the result is identical to the
+// sequential evaluation, in database order.
 func (e *Engine) KNNCtx(ctx context.Context, q *uncertain.Object, k int, tau float64) ([]Match, error) {
 	tr, pooled := e.Obs.traceFor(ctx)
 	start := time.Now()
@@ -290,8 +284,8 @@ func (e *Engine) evalKNNCandidate(q, b *uncertain.Object, k int, tau, thresh flo
 // +Inf to disable preselection, as the engine does at tau = 0) and
 // cache for decomposition sharing (nil builds a private cache per
 // call). The Match is bit-identical to the entry for b in
-// KNN(q, k, tau) over the same database state — the contract the
-// continuous-query subsystem's incremental maintenance relies on.
+// KNNCtx(ctx, q, k, tau) over the same database state — the contract
+// the continuous-query subsystem's incremental maintenance relies on.
 func (e *Engine) EvalKNNCandidate(q, b *uncertain.Object, k int, tau, thresh float64, cache *core.DecompCache) Match {
 	if cache == nil {
 		cache = e.queryCache()
@@ -301,19 +295,13 @@ func (e *Engine) EvalKNNCandidate(q, b *uncertain.Object, k int, tau, thresh flo
 	return m
 }
 
-// RKNN answers the probabilistic threshold reverse kNN query of
+// RKNNCtx answers the probabilistic threshold reverse kNN query of
 // Corollary 5: all objects B for which q is among B's k nearest
 // neighbors with probability at least tau, i.e.
-// P(DomCount(q, B) < k) >= tau with B as the reference.
-func (e *Engine) RKNN(q *uncertain.Object, k int, tau float64) []Match {
-	matches, _ := e.RKNNCtx(context.Background(), q, k, tau)
-	return matches
-}
-
-// RKNNCtx is RKNN with cancellation and concurrent candidate
-// evaluation, mirroring KNNCtx. Candidates impossible as results (at
-// least k objects certainly closer to them than q, see rknnfilter.go)
-// are preselected away without an IDCA run.
+// P(DomCount(q, B) < k) >= tau with B as the reference. Cancellation
+// and concurrent candidate evaluation mirror KNNCtx. Candidates
+// impossible as results (at least k objects certainly closer to them
+// than q, see rknnfilter.go) are preselected away without an IDCA run.
 func (e *Engine) RKNNCtx(ctx context.Context, q *uncertain.Object, k int, tau float64) ([]Match, error) {
 	if k < 1 {
 		return nil, nil
@@ -372,9 +360,9 @@ func (e *Engine) evalRKNNCandidate(q, b *uncertain.Object, k int, tau float64, n
 }
 
 // EvalRKNNCandidate evaluates the threshold-RkNN predicate for
-// candidate b only, bit-identical to the entry for b in RKNN(q, k, tau)
-// over the same database state. cache may be nil (a private cache is
-// built per call).
+// candidate b only, bit-identical to the entry for b in
+// RKNNCtx(ctx, q, k, tau) over the same database state. cache may be
+// nil (a private cache is built per call).
 func (e *Engine) EvalRKNNCandidate(q, b *uncertain.Object, k int, tau float64, cache *core.DecompCache) Match {
 	if cache == nil {
 		cache = e.queryCache()
@@ -476,18 +464,12 @@ type Ranked struct {
 	ExpectedRankLB, ExpectedRankUB float64
 }
 
-// RankByExpectedRank orders all database objects by (the midpoint of
-// the bounds on) their expected rank with respect to q — the expected
-// rank semantics of Cormode et al. [14] evaluated with IDCA bounds.
-func (e *Engine) RankByExpectedRank(q *uncertain.Object) []Ranked {
-	out, _ := e.RankByExpectedRankCtx(context.Background(), q)
-	return out
-}
-
-// RankByExpectedRankCtx is RankByExpectedRank with cancellation and
-// concurrent candidate evaluation. The ordering is deterministic: the
-// stable sort runs over per-candidate bounds computed independently of
-// worker count and completion order.
+// RankByExpectedRankCtx orders all database objects by (the midpoint
+// of the bounds on) their expected rank with respect to q — the
+// expected rank semantics of Cormode et al. [14] evaluated with IDCA
+// bounds — with cancellation and concurrent candidate evaluation. The
+// ordering is deterministic: the stable sort runs over per-candidate
+// bounds computed independently of worker count and completion order.
 func (e *Engine) RankByExpectedRankCtx(ctx context.Context, q *uncertain.Object) ([]Ranked, error) {
 	tr, pooled := e.Obs.traceFor(ctx)
 	start := time.Now()

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -59,7 +60,7 @@ func TestKNNAgreesWithExact(t *testing.T) {
 	for _, k := range []int{1, 3, 5} {
 		for _, tau := range []float64{0.25, 0.5, 0.75} {
 			eng := NewEngine(db, core.Options{MaxIterations: 8})
-			matches := eng.KNN(q, k, tau)
+			matches := must(eng.KNNCtx(context.Background(), q, k, tau))
 			if len(matches) != len(db) {
 				t.Fatalf("k=%d: %d matches for %d objects", k, len(matches), len(db))
 			}
@@ -92,7 +93,7 @@ func TestKNNCertainPoints(t *testing.T) {
 	}
 	q := uncertain.PointObject(99, geom.Point{0, 0})
 	eng := NewEngine(db, core.Options{MaxIterations: 4})
-	matches := eng.KNN(q, 2, 0.5)
+	matches := must(eng.KNNCtx(context.Background(), q, 2, 0.5))
 	for _, m := range matches {
 		want := m.Object.ID <= 1 // the two closest
 		if !m.Decided {
@@ -113,7 +114,7 @@ func TestKNNThresholdStopSavesIterations(t *testing.T) {
 	q := randObj(rng, 500, 32, 5, 5, 1.5)
 	eng := NewEngine(db, core.Options{MaxIterations: 10})
 	total := 0
-	for _, m := range eng.KNN(q, 3, 0.5) {
+	for _, m := range must(eng.KNNCtx(context.Background(), q, 3, 0.5)) {
 		total += m.Iterations
 	}
 	if total >= 10*len(db) {
@@ -128,7 +129,7 @@ func TestRKNNAgreesWithExact(t *testing.T) {
 	db := smallDB(rng, 10, 16)
 	q := randObj(rng, 500, 16, 5, 5, 1.5)
 	eng := NewEngine(db, core.Options{MaxIterations: 8})
-	for _, m := range eng.RKNN(q, 2, 0.5) {
+	for _, m := range must(eng.RKNNCtx(context.Background(), q, 2, 0.5)) {
 		exact := exactTail(db, q, m.Object, 2)
 		if !m.Prob.Contains(exact, 1e-9) {
 			t.Fatalf("obj=%d: exact %g outside [%g, %g]", m.Object.ID, exact, m.Prob.LB, m.Prob.UB)
@@ -206,7 +207,7 @@ func TestRankByExpectedRankOrdersCertainData(t *testing.T) {
 	}
 	q := uncertain.PointObject(99, geom.Point{0, 0})
 	eng := NewEngine(db, core.Options{MaxIterations: 4})
-	ranked := eng.RankByExpectedRank(q)
+	ranked := must(eng.RankByExpectedRankCtx(context.Background(), q))
 	wantOrder := []int{1, 2, 0}
 	for i, r := range ranked {
 		if r.Object.ID != wantOrder[i] {
@@ -227,8 +228,8 @@ func TestEngineWithoutIndexMatchesIndexed(t *testing.T) {
 	q := randObj(rng, 500, 16, 5, 5, 1.5)
 	withIdx := NewEngine(db, core.Options{MaxIterations: 5})
 	noIdx := &Engine{DB: db, Opts: core.Options{MaxIterations: 5}}
-	a := withIdx.KNN(q, 3, 0.5)
-	b := noIdx.KNN(q, 3, 0.5)
+	a := must(withIdx.KNNCtx(context.Background(), q, 3, 0.5))
+	b := must(noIdx.KNNCtx(context.Background(), q, 3, 0.5))
 	if len(a) != len(b) {
 		t.Fatalf("match counts differ: %d vs %d", len(a), len(b))
 	}
@@ -248,10 +249,19 @@ func TestInvalidK(t *testing.T) {
 	db := smallDB(rng, 5, 4)
 	q := randObj(rng, 500, 4, 5, 5, 1)
 	eng := NewEngine(db, core.Options{MaxIterations: 2})
-	if got := eng.KNN(q, 0, 0.5); got != nil {
+	if got := must(eng.KNNCtx(context.Background(), q, 0, 0.5)); got != nil {
 		t.Error("KNN with k=0 returned matches")
 	}
-	if got := eng.RKNN(q, 0, 0.5); got != nil {
+	if got := must(eng.RKNNCtx(context.Background(), q, 0, 0.5)); got != nil {
 		t.Error("RKNN with k=0 returned matches")
 	}
+}
+
+// must unwraps a query result. Under context.Background(), which never
+// cancels, a query's error is always nil.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -95,7 +96,7 @@ func requireSameVerdicts(t *testing.T, op int, store *Store, sharded *Store, q *
 	if want, got := store.KNN(q, 2, 0.4), sharded.KNN(q, 2, 0.4); !reflect.DeepEqual(want, got) {
 		t.Fatalf("op %d: KNN verdicts diverge from the model", op)
 	}
-	if want, got := store.RKNN(q, 2, 0.4), sharded.RKNN(q, 2, 0.4); !reflect.DeepEqual(want, got) {
+	if want, got := must(store.RKNNCtx(context.Background(), q, 2, 0.4)), must(sharded.RKNNCtx(context.Background(), q, 2, 0.4)); !reflect.DeepEqual(want, got) {
 		t.Fatalf("op %d: RKNN verdicts diverge from the model", op)
 	}
 }
@@ -139,10 +140,10 @@ func runShardFuzz(t *testing.T, seed int64, nsh uint8, ops []byte, withMoves boo
 		case 0, 1:
 			o := fuzzObject(t, rng, nextID)
 			nextID++
-			if err := store.Insert(o); err != nil {
+			if err := store.InsertCtx(context.Background(), o); err != nil {
 				t.Fatal(err)
 			}
-			if err := sharded.Insert(o); err != nil {
+			if err := sharded.InsertCtx(context.Background(), o); err != nil {
 				t.Fatal(err)
 			}
 		case 2:
@@ -151,10 +152,10 @@ func runShardFuzz(t *testing.T, seed int64, nsh uint8, ops []byte, withMoves boo
 				continue
 			}
 			o := fuzzObject(t, rng, cur[rng.Intn(len(cur))].ID)
-			if err := store.Update(o); err != nil {
+			if err := store.UpdateCtx(context.Background(), o); err != nil {
 				t.Fatal(err)
 			}
-			if err := sharded.Update(o); err != nil {
+			if err := sharded.UpdateCtx(context.Background(), o); err != nil {
 				t.Fatal(err)
 			}
 		case 3:
@@ -163,7 +164,7 @@ func runShardFuzz(t *testing.T, seed int64, nsh uint8, ops []byte, withMoves boo
 				continue
 			}
 			id := cur[rng.Intn(len(cur))].ID
-			if !store.Delete(id) || !sharded.Delete(id) {
+			if !must(store.DeleteCtx(context.Background(), id)) || !must(sharded.DeleteCtx(context.Background(), id)) {
 				t.Fatalf("op %d: delete of %d failed", i, id)
 			}
 		case 4:

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -83,7 +84,7 @@ func TestShardedEquivalenceKNN(t *testing.T) {
 			sc := newShardedCase(t, seed, 1+int(seed%3))
 			k := 2 + int(seed%3)
 			tau := []float64{0.3, 0.5, 0.8}[seed%3]
-			want := sc.oc.eng.KNN(sc.oc.q, k, tau)
+			want := must(sc.oc.eng.KNNCtx(context.Background(), sc.oc.q, k, tau))
 			requireSameMatches(t, seed, "Store KNN", want, sc.store.KNN(sc.oc.q, k, tau))
 			for _, n := range shardCounts {
 				got := sc.sharded[n].KNN(sc.oc.q, k, tau)
@@ -108,10 +109,10 @@ func TestShardedEquivalenceRKNN(t *testing.T) {
 			sc := newShardedCase(t, seed, 1)
 			k := 1 + int(seed%3)
 			const tau = 0.4
-			want := sc.oc.eng.RKNN(sc.oc.q, k, tau)
-			requireSameMatches(t, seed, "Store RKNN", want, sc.store.RKNN(sc.oc.q, k, tau))
+			want := must(sc.oc.eng.RKNNCtx(context.Background(), sc.oc.q, k, tau))
+			requireSameMatches(t, seed, "Store RKNN", want, must(sc.store.RKNNCtx(context.Background(), sc.oc.q, k, tau)))
 			for _, n := range shardCounts {
-				got := sc.sharded[n].RKNN(sc.oc.q, k, tau)
+				got := must(sc.sharded[n].RKNNCtx(context.Background(), sc.oc.q, k, tau))
 				requireSameMatches(t, seed, fmt.Sprintf("Store(%d shards) RKNN", n), want, got)
 				for _, m := range got {
 					exact := sc.oc.exactCDF(sc.oc.q, m.Object, k)
@@ -134,11 +135,11 @@ func TestShardedEquivalenceTopKNN(t *testing.T) {
 			t.Parallel()
 			sc := newShardedCase(t, seed, 1+int(seed%2))
 			k, m := 3, 3
-			want := sc.oc.eng.TopKNN(sc.oc.q, k, m)
-			requireSameMatches(t, seed, "Store TopKNN", want, sc.store.TopKNN(sc.oc.q, k, m))
+			want := must(sc.oc.eng.TopKNNCtx(context.Background(), sc.oc.q, k, m))
+			requireSameMatches(t, seed, "Store TopKNN", want, must(sc.store.TopKNNCtx(context.Background(), sc.oc.q, k, m)))
 			for _, n := range shardCounts {
 				requireSameMatches(t, seed, fmt.Sprintf("Store(%d shards) TopKNN", n),
-					want, sc.sharded[n].TopKNN(sc.oc.q, k, m))
+					want, must(sc.sharded[n].TopKNNCtx(context.Background(), sc.oc.q, k, m)))
 			}
 		})
 	}
@@ -211,22 +212,22 @@ func TestShardedEquivalenceAfterMutations(t *testing.T) {
 				case 0:
 					o := randObject(t, rng, nextID)
 					nextID++
-					if err := sc.store.Insert(o); err != nil {
+					if err := sc.store.InsertCtx(context.Background(), o); err != nil {
 						t.Fatal(err)
 					}
 					for _, ss := range sc.sharded {
-						if err := ss.Insert(o); err != nil {
+						if err := ss.InsertCtx(context.Background(), o); err != nil {
 							t.Fatal(err)
 						}
 					}
 				case 1:
 					db := sc.store.Snapshot().DB()
 					o := randObject(t, rng, db[rng.Intn(len(db))].ID)
-					if err := sc.store.Update(o); err != nil {
+					if err := sc.store.UpdateCtx(context.Background(), o); err != nil {
 						t.Fatal(err)
 					}
 					for _, ss := range sc.sharded {
-						if err := ss.Update(o); err != nil {
+						if err := ss.UpdateCtx(context.Background(), o); err != nil {
 							t.Fatal(err)
 						}
 					}
@@ -236,11 +237,11 @@ func TestShardedEquivalenceAfterMutations(t *testing.T) {
 						continue
 					}
 					id := db[rng.Intn(len(db))].ID
-					if !sc.store.Delete(id) {
+					if !must(sc.store.DeleteCtx(context.Background(), id)) {
 						t.Fatalf("store delete of %d failed", id)
 					}
 					for n, ss := range sc.sharded {
-						if !ss.Delete(id) {
+						if !must(ss.DeleteCtx(context.Background(), id)) {
 							t.Fatalf("sharded(%d) delete of %d failed", n, id)
 						}
 					}
@@ -262,12 +263,12 @@ func TestShardedEquivalenceAfterMutations(t *testing.T) {
 					}
 				}
 				want := sc.store.KNN(sc.oc.q, k, 0.4)
-				wantR := sc.store.RKNN(sc.oc.q, k, 0.4)
+				wantR := must(sc.store.RKNNCtx(context.Background(), sc.oc.q, k, 0.4))
 				for _, n := range shardCounts {
 					requireSameMatches(t, seed, fmt.Sprintf("step %d Store(%d shards) KNN", step, n),
 						want, sc.sharded[n].KNN(sc.oc.q, k, 0.4))
 					requireSameMatches(t, seed, fmt.Sprintf("step %d Store(%d shards) RKNN", step, n),
-						wantR, sc.sharded[n].RKNN(sc.oc.q, k, 0.4))
+						wantR, must(sc.sharded[n].RKNNCtx(context.Background(), sc.oc.q, k, 0.4)))
 				}
 			}
 		})

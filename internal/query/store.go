@@ -15,10 +15,11 @@ import (
 )
 
 // Store is a concurrent, mutable uncertain-object store layered on the
-// query engine: live ingest (Insert/Delete/Update) interleaves with
-// snapshot-isolated queries. It is the serving-path counterpart of the
-// frozen Engine — the paper's framework operated the way a production
-// system runs it, with the database changing underneath the queries.
+// query engine: live ingest (InsertCtx/DeleteCtx/UpdateCtx) interleaves
+// with snapshot-isolated queries. It is the serving-path counterpart of
+// the frozen Engine — the paper's framework operated the way a
+// production system runs it, with the database changing underneath the
+// queries.
 //
 // # Shards
 //
@@ -276,8 +277,8 @@ func (s *Store) Len() int {
 }
 
 // Version returns the mutation epoch: it increments on every
-// Insert/Delete/Update (migrations leave it untouched), and a Snapshot
-// carries the epoch it was published at.
+// InsertCtx/DeleteCtx/UpdateCtx (migrations leave it untouched), and a
+// Snapshot carries the epoch it was published at.
 func (s *Store) Version() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -403,9 +404,9 @@ func (s *Store) detachLocked() {
 	s.snap = nil
 }
 
-// Insert adds a new object, routing it to its partition shard; the ID
-// must not be in use. The object is shared with the store and must not
-// be mutated afterwards. On a durable store the commit is journaled
+// InsertCtx adds a new object, routing it to its partition shard; the
+// ID must not be in use. The object is shared with the store and must
+// not be mutated afterwards. On a durable store the commit is journaled
 // before it is applied; a journaling error leaves the store unchanged.
 // Under wal.SyncAlways the commit is acknowledged only once every
 // commit up to and including it is covered by a group fsync on its
@@ -414,15 +415,11 @@ func (s *Store) detachLocked() {
 // serializing on them. A group-fsync failure is reported after the
 // commit was applied in memory; the journal wedges and every later
 // commit on that shard fails.
-func (s *Store) Insert(o *uncertain.Object) error {
-	return s.InsertCtx(context.Background(), o)
-}
-
-// InsertCtx is Insert with a context: a trace attached via
-// obs.WithTrace records the commit's durability wait (the span between
-// journaling and the covering group fsyncs) as its WAL-wait phase. The
-// context does not cancel the commit — a journaled commit always
-// applies.
+//
+// A trace attached to ctx via obs.WithTrace records the commit's
+// durability wait (the span between journaling and the covering group
+// fsyncs) as its WAL-wait phase. The context does not cancel the
+// commit — a journaled commit always applies.
 func (s *Store) InsertCtx(ctx context.Context, o *uncertain.Object) error {
 	if o == nil {
 		return fmt.Errorf("store: nil object")
@@ -472,27 +469,13 @@ func (s *Store) shardDeleteLocked(si int, o *uncertain.Object) {
 	sh.version++
 }
 
-// Delete removes the object with the given ID and reports whether one
-// was stored. Journaling errors on a durable store surface through
-// DeleteErr; Delete itself keeps the boolean contract and leaves the
-// store unchanged when journaling fails.
-func (s *Store) Delete(id int) bool {
-	ok, _ := s.DeleteErrCtx(context.Background(), id)
-	return ok
-}
-
-// DeleteErr is Delete with the journaling error exposed: ok reports
-// whether the ID was stored, err a failure to journal the commit. The
-// store is unchanged when err != nil, except a group-fsync failure
-// under wal.SyncAlways, which is reported after the commit was applied
-// in memory (ok stays true and the journal wedges).
-func (s *Store) DeleteErr(id int) (bool, error) {
-	return s.DeleteErrCtx(context.Background(), id)
-}
-
-// DeleteErrCtx is DeleteErr with a context carrying an optional trace
-// (see InsertCtx).
-func (s *Store) DeleteErrCtx(ctx context.Context, id int) (bool, error) {
+// DeleteCtx removes the object with the given ID: ok reports whether
+// the ID was stored, err a failure to journal the commit. The store is
+// unchanged when err != nil, except a group-fsync failure under
+// wal.SyncAlways, which is reported after the commit was applied in
+// memory (ok stays true and the journal wedges). ctx carries an
+// optional trace (see InsertCtx).
+func (s *Store) DeleteCtx(ctx context.Context, id int) (bool, error) {
 	s.mu.Lock()
 	o, ok := s.byID[id]
 	if !ok {
@@ -524,18 +507,13 @@ func (s *Store) DeleteErrCtx(ctx context.Context, id int) (bool, error) {
 	return true, sj.waitDurable(ctx, ack)
 }
 
-// Update atomically replaces the object carrying o.ID with o: no query
-// ever observes the database with the old object gone and the new one
-// missing, or with both present. It returns an error when the ID is not
-// stored (use Insert for new objects). The object keeps its home shard
-// (and its database-order position) even when the partitioner would
-// now route it elsewhere — use Rebalance to re-home drifted objects.
-func (s *Store) Update(o *uncertain.Object) error {
-	return s.UpdateCtx(context.Background(), o)
-}
-
-// UpdateCtx is Update with a context carrying an optional trace (see
-// InsertCtx).
+// UpdateCtx atomically replaces the object carrying o.ID with o: no
+// query ever observes the database with the old object gone and the
+// new one missing, or with both present. It returns an error when the
+// ID is not stored (use InsertCtx for new objects). The object keeps
+// its home shard (and its database-order position) even when the
+// partitioner would now route it elsewhere — use Rebalance to re-home
+// drifted objects. ctx carries an optional trace (see InsertCtx).
 func (s *Store) UpdateCtx(ctx context.Context, o *uncertain.Object) error {
 	if o == nil {
 		return fmt.Errorf("store: nil object")
@@ -778,35 +756,26 @@ func (sn *Snapshot) Engine() *Engine {
 // to the snapshot engine, so concurrent mutations never affect a query
 // in flight.
 
-// KNN answers the probabilistic threshold kNN query on the current
-// snapshot (see Engine.KNN).
+// KNN is KNNCtx without cancellation.
 func (s *Store) KNN(q *uncertain.Object, k int, tau float64) []Match {
-	return s.Snapshot().Engine().KNN(q, k, tau)
+	matches, _ := s.KNNCtx(context.Background(), q, k, tau) // never cancelled: no error
+	return matches
 }
 
-// KNNCtx is KNN with cancellation.
+// KNNCtx answers the probabilistic threshold kNN query on the current
+// snapshot (see Engine.KNNCtx).
 func (s *Store) KNNCtx(ctx context.Context, q *uncertain.Object, k int, tau float64) ([]Match, error) {
 	return s.Snapshot().Engine().KNNCtx(ctx, q, k, tau)
 }
 
-// RKNN answers the probabilistic threshold reverse kNN query on the
-// current snapshot (see Engine.RKNN).
-func (s *Store) RKNN(q *uncertain.Object, k int, tau float64) []Match {
-	return s.Snapshot().Engine().RKNN(q, k, tau)
-}
-
-// RKNNCtx is RKNN with cancellation.
+// RKNNCtx answers the probabilistic threshold reverse kNN query on the
+// current snapshot (see Engine.RKNNCtx).
 func (s *Store) RKNNCtx(ctx context.Context, q *uncertain.Object, k int, tau float64) ([]Match, error) {
 	return s.Snapshot().Engine().RKNNCtx(ctx, q, k, tau)
 }
 
-// TopKNN answers the top-m probable kNN query on the current snapshot
-// (see Engine.TopKNN).
-func (s *Store) TopKNN(q *uncertain.Object, k, m int) []Match {
-	return s.Snapshot().Engine().TopKNN(q, k, m)
-}
-
-// TopKNNCtx is TopKNN with cancellation.
+// TopKNNCtx answers the top-m probable kNN query on the current
+// snapshot (see Engine.TopKNNCtx).
 func (s *Store) TopKNNCtx(ctx context.Context, q *uncertain.Object, k, m int) ([]Match, error) {
 	return s.Snapshot().Engine().TopKNNCtx(ctx, q, k, m)
 }
@@ -817,41 +786,26 @@ func (s *Store) InverseRank(b, r *uncertain.Object) *RankDistribution {
 	return s.Snapshot().Engine().InverseRank(b, r)
 }
 
-// RankByExpectedRank ranks the current snapshot by expected rank (see
-// Engine.RankByExpectedRank).
-func (s *Store) RankByExpectedRank(q *uncertain.Object) []Ranked {
-	return s.Snapshot().Engine().RankByExpectedRank(q)
-}
-
-// RankByExpectedRankCtx is RankByExpectedRank with cancellation.
+// RankByExpectedRankCtx ranks the current snapshot by expected rank
+// (see Engine.RankByExpectedRankCtx).
 func (s *Store) RankByExpectedRankCtx(ctx context.Context, q *uncertain.Object) ([]Ranked, error) {
 	return s.Snapshot().Engine().RankByExpectedRankCtx(ctx, q)
 }
 
-// UKRanks computes the U-kRanks winners on the current snapshot (see
-// Engine.UKRanks).
-func (s *Store) UKRanks(q *uncertain.Object, k int) []RankWinner {
-	return s.Snapshot().Engine().UKRanks(q, k)
-}
-
-// UKRanksCtx is UKRanks with cancellation.
+// UKRanksCtx computes the U-kRanks winners on the current snapshot
+// (see Engine.UKRanksCtx).
 func (s *Store) UKRanksCtx(ctx context.Context, q *uncertain.Object, k int) ([]RankWinner, error) {
 	return s.Snapshot().Engine().UKRanksCtx(ctx, q, k)
 }
 
-// Batch runs fn against an engine bound to one snapshot: every query fn
-// issues sees the same database state and reuses the store's persistent
-// decomposition cache (each query reads it through its own overlay, so
-// database-resident objects are shared, query objects are not). Use it
-// to evaluate a mixed query batch atomically; for many kNN queries,
-// BatchKNN additionally pools the candidate runs.
-func (s *Store) Batch(fn func(*Engine)) {
-	fn(s.Snapshot().Engine())
-}
-
-// BatchCtx is Batch with cancellation: fn receives the context along
-// with the snapshot-bound engine and is expected to thread it through
-// the ...Ctx query variants it issues. BatchCtx returns ctx.Err()
+// BatchCtx runs fn against an engine bound to one snapshot: every query
+// fn issues sees the same database state and reuses the store's
+// persistent decomposition cache (each query reads it through its own
+// overlay, so database-resident objects are shared, query objects are
+// not). Use it to evaluate a mixed query batch atomically; for many kNN
+// queries, BatchKNN additionally pools the candidate runs. fn receives
+// the context along with the snapshot-bound engine and is expected to
+// thread it through the queries it issues. BatchCtx returns ctx.Err()
 // without invoking fn when the context is already done, and otherwise
 // returns whatever fn returns — typically the first query error, which
 // is ctx.Err() when a query inside the batch was cancelled.

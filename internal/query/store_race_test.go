@@ -72,15 +72,15 @@ func TestStoreConcurrentMutationAndQuery(t *testing.T) {
 			for i := 0; i < rounds; i++ {
 				// Update a core object (atomic replace).
 				id := rng.Intn(coreN)
-				if err := s.Update(randObject(t, rng, id)); err != nil {
+				if err := s.UpdateCtx(context.Background(), randObject(t, rng, id)); err != nil {
 					t.Errorf("mutator %d: update: %v", w, err)
 				}
 				// Insert then delete a transient object.
 				tid := 1000 + w*10000 + i
-				if err := s.Insert(randObject(t, rng, tid)); err != nil {
+				if err := s.InsertCtx(context.Background(), randObject(t, rng, tid)); err != nil {
 					t.Errorf("mutator %d: insert: %v", w, err)
 				}
-				if !s.Delete(tid) {
+				if !must(s.DeleteCtx(context.Background(), tid)) {
 					t.Errorf("mutator %d: transient %d vanished", w, tid)
 				}
 			}
@@ -137,7 +137,7 @@ func TestStoreConcurrentMutationAndQuery(t *testing.T) {
 	snap := s.Snapshot()
 	fresh := NewEngine(snap.DB(), core.Options{MaxIterations: 2})
 	got := s.KNN(q, 3, 0.5)
-	want := fresh.KNN(q, 3, 0.5)
+	want := must(fresh.KNNCtx(context.Background(), q, 3, 0.5))
 	if len(got) != len(want) {
 		t.Fatalf("final state: store and fresh engine disagree on candidate count")
 	}
@@ -161,7 +161,7 @@ func TestStoreSnapshotSharing(t *testing.T) {
 	if s1 != s2 {
 		t.Fatal("back-to-back snapshots are distinct")
 	}
-	if err := s.Insert(randObject(t, rng, 500)); err != nil {
+	if err := s.InsertCtx(context.Background(), randObject(t, rng, 500)); err != nil {
 		t.Fatal(err)
 	}
 	s3 := s.Snapshot()

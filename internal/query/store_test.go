@@ -42,7 +42,7 @@ func mutateStore(t *testing.T, s *Store, rng *rand.Rand, nextID *int, steps int)
 	for i := 0; i < steps; i++ {
 		switch rng.Intn(3) {
 		case 0:
-			if err := s.Insert(randObject(t, rng, *nextID)); err != nil {
+			if err := s.InsertCtx(context.Background(), randObject(t, rng, *nextID)); err != nil {
 				t.Fatal(err)
 			}
 			*nextID++
@@ -50,14 +50,14 @@ func mutateStore(t *testing.T, s *Store, rng *rand.Rand, nextID *int, steps int)
 			if s.Len() > 0 {
 				snap := s.Snapshot().DB()
 				o := snap[rng.Intn(len(snap))]
-				if err := s.Update(randObject(t, rng, o.ID)); err != nil {
+				if err := s.UpdateCtx(context.Background(), randObject(t, rng, o.ID)); err != nil {
 					t.Fatal(err)
 				}
 			}
 		default:
 			if s.Len() > 4 {
 				snap := s.Snapshot().DB()
-				if !s.Delete(snap[rng.Intn(len(snap))].ID) {
+				if !must(s.DeleteCtx(context.Background(), snap[rng.Intn(len(snap))].ID)) {
 					t.Fatal("delete of existing ID failed")
 				}
 			}
@@ -91,19 +91,19 @@ func TestStoreEquivalence(t *testing.T) {
 			// Run every query twice on the store: the second pass reuses
 			// decompositions the first pass pinned — results must not move.
 			for pass := 0; pass < 2; pass++ {
-				if got, want := s.KNN(q, 3, 0.5), fresh.KNN(q, 3, 0.5); !reflect.DeepEqual(got, want) {
+				if got, want := s.KNN(q, 3, 0.5), must(fresh.KNNCtx(context.Background(), q, 3, 0.5)); !reflect.DeepEqual(got, want) {
 					t.Fatalf("pass %d: KNN store != fresh engine\n got %+v\nwant %+v", pass, got, want)
 				}
-				if got, want := s.RKNN(q, 2, 0.3), fresh.RKNN(q, 2, 0.3); !reflect.DeepEqual(got, want) {
+				if got, want := must(s.RKNNCtx(context.Background(), q, 2, 0.3)), must(fresh.RKNNCtx(context.Background(), q, 2, 0.3)); !reflect.DeepEqual(got, want) {
 					t.Fatalf("pass %d: RKNN store != fresh engine", pass)
 				}
-				if got, want := s.TopKNN(q, 3, 4), fresh.TopKNN(q, 3, 4); !reflect.DeepEqual(got, want) {
+				if got, want := must(s.TopKNNCtx(context.Background(), q, 3, 4)), must(fresh.TopKNNCtx(context.Background(), q, 3, 4)); !reflect.DeepEqual(got, want) {
 					t.Fatalf("pass %d: TopKNN store != fresh engine", pass)
 				}
-				if got, want := s.RankByExpectedRank(q), fresh.RankByExpectedRank(q); !reflect.DeepEqual(got, want) {
+				if got, want := must(s.RankByExpectedRankCtx(context.Background(), q)), must(fresh.RankByExpectedRankCtx(context.Background(), q)); !reflect.DeepEqual(got, want) {
 					t.Fatalf("pass %d: RankByExpectedRank store != fresh engine", pass)
 				}
-				if got, want := s.UKRanks(q, 3), fresh.UKRanks(q, 3); !reflect.DeepEqual(got, want) {
+				if got, want := must(s.UKRanksCtx(context.Background(), q, 3)), must(fresh.UKRanksCtx(context.Background(), q, 3)); !reflect.DeepEqual(got, want) {
 					t.Fatalf("pass %d: UKRanks store != fresh engine", pass)
 				}
 				b := snap.DB()[0]
@@ -133,7 +133,7 @@ func TestStoreEquivalenceAcrossMutations(t *testing.T) {
 		mutateStore(t, s, rng, &nextID, 8)
 		snap := s.Snapshot()
 		fresh := NewEngine(snap.DB(), opts)
-		if got, want := s.KNN(q, 2, 0.4), fresh.KNN(q, 2, 0.4); !reflect.DeepEqual(got, want) {
+		if got, want := s.KNN(q, 2, 0.4), must(fresh.KNNCtx(context.Background(), q, 2, 0.4)); !reflect.DeepEqual(got, want) {
 			t.Fatalf("round %d: KNN store != fresh engine", round)
 		}
 	}
@@ -224,25 +224,25 @@ func TestStoreAPIErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	o := randObject(t, rng, 1)
-	if err := s.Insert(o); err != nil {
+	if err := s.InsertCtx(context.Background(), o); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Insert(randObject(t, rng, 1)); err == nil {
+	if err := s.InsertCtx(context.Background(), randObject(t, rng, 1)); err == nil {
 		t.Fatal("duplicate insert succeeded")
 	}
-	if err := s.Update(randObject(t, rng, 2)); err == nil {
+	if err := s.UpdateCtx(context.Background(), randObject(t, rng, 2)); err == nil {
 		t.Fatal("update of unknown ID succeeded")
 	}
-	if err := s.Insert(nil); err == nil {
+	if err := s.InsertCtx(context.Background(), nil); err == nil {
 		t.Fatal("nil insert succeeded")
 	}
-	if s.Delete(99) {
+	if must(s.DeleteCtx(context.Background(), 99)) {
 		t.Fatal("delete of unknown ID succeeded")
 	}
 	if got, ok := s.Get(1); !ok || got != o {
 		t.Fatal("Get(1) did not return the stored object")
 	}
-	if !s.Delete(1) {
+	if !must(s.DeleteCtx(context.Background(), 1)) {
 		t.Fatal("delete of stored ID failed")
 	}
 	if s.Len() != 0 {
@@ -276,7 +276,7 @@ func TestSnapshotEngineDataPlane(t *testing.T) {
 		if one := shards == 1; (e.Index != nil) != one || (e.plane == nil) != one {
 			t.Fatalf("%d shards: engine Index set = %v, plane set = %v", shards, e.Index != nil, e.plane != nil)
 		}
-		if !s.Delete(db[0].ID) {
+		if !must(s.DeleteCtx(context.Background(), db[0].ID)) {
 			t.Fatal("delete failed")
 		}
 		snap, stop := s.Watch(func(Change) {})

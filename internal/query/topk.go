@@ -12,7 +12,7 @@ import (
 	"probprune/internal/uncertain"
 )
 
-// TopKNN answers the top-m probable kNN query (the semantics of
+// TopKNNCtx answers the top-m probable kNN query (the semantics of
 // Beskales et al. [6], which the paper's related work motivates):
 // return the m database objects with the highest probability
 // P(DomCount(B, q) < k) of being among the k nearest neighbors of q.
@@ -30,12 +30,7 @@ import (
 // whose membership could not be separated within the iteration budget
 // (ties or exhausted refinement); its bounds still quantify the
 // remaining ambiguity.
-func (e *Engine) TopKNN(q *uncertain.Object, k, m int) []Match {
-	out, _ := e.TopKNNCtx(context.Background(), q, k, m)
-	return out
-}
-
-// TopKNNCtx is TopKNN with cancellation and concurrent evaluation.
+//
 // Sessions are constructed and stepped on the query executor; each
 // refinement round decides which candidates still straddle the top-m
 // boundary from the start-of-round bounds, then steps all of them

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"testing"
@@ -18,7 +19,7 @@ func TestTopKNNMatchesExactOrder(t *testing.T) {
 	q := randObj(rng, 500, 12, 5, 5, 2)
 	const k, m = 3, 5
 	eng := NewEngine(db, core.Options{MaxIterations: 10})
-	got := eng.TopKNN(q, k, m)
+	got := must(eng.TopKNNCtx(context.Background(), q, k, m))
 	if len(got) != m {
 		t.Fatalf("returned %d matches, want %d", len(got), m)
 	}
@@ -70,7 +71,7 @@ func TestTopKNNOnCertainData(t *testing.T) {
 	}
 	q := uncertain.PointObject(99, geom.Point{0, 0})
 	eng := NewEngine(db, core.Options{MaxIterations: 4})
-	got := eng.TopKNN(q, 2, 2)
+	got := must(eng.TopKNNCtx(context.Background(), q, 2, 2))
 	if len(got) != 2 {
 		t.Fatalf("got %d matches", len(got))
 	}
@@ -92,13 +93,13 @@ func TestTopKNNEdgeCases(t *testing.T) {
 	db := smallDB(rng, 6, 6)
 	q := randObj(rng, 500, 6, 5, 5, 1)
 	eng := NewEngine(db, core.Options{MaxIterations: 3})
-	if eng.TopKNN(q, 0, 3) != nil {
+	if must(eng.TopKNNCtx(context.Background(), q, 0, 3)) != nil {
 		t.Error("k=0 must return nil")
 	}
-	if eng.TopKNN(q, 3, 0) != nil {
+	if must(eng.TopKNNCtx(context.Background(), q, 3, 0)) != nil {
 		t.Error("m=0 must return nil")
 	}
-	got := eng.TopKNN(q, 2, 100)
+	got := must(eng.TopKNNCtx(context.Background(), q, 2, 100))
 	if len(got) == 0 || len(got) > len(db) {
 		t.Errorf("m beyond candidates returned %d matches", len(got))
 	}
@@ -112,8 +113,8 @@ func TestTopKNNWithoutIndex(t *testing.T) {
 	q := randObj(rng, 500, 8, 5, 5, 2)
 	withIdx := NewEngine(db, core.Options{MaxIterations: 8})
 	noIdx := &Engine{DB: db, Opts: core.Options{MaxIterations: 8}}
-	a := withIdx.TopKNN(q, 3, 4)
-	b := noIdx.TopKNN(q, 3, 4)
+	a := must(withIdx.TopKNNCtx(context.Background(), q, 3, 4))
+	b := must(noIdx.TopKNNCtx(context.Background(), q, 3, 4))
 	if len(a) != len(b) {
 		t.Fatalf("lengths differ: %d vs %d", len(a), len(b))
 	}

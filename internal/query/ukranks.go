@@ -31,18 +31,12 @@ type RankWinner struct {
 	Decided bool
 }
 
-// UKRanks computes the U-kRanks winners for ranks 1..k with respect to
-// the reference q: for each rank, the object maximizing
+// UKRanksCtx computes the U-kRanks winners for ranks 1..k with respect
+// to the reference q: for each rank, the object maximizing
 // P(DomCount = rank−1). Winners are chosen by the midpoint of the
 // probability bounds; Decided indicates whether the bounds alone
-// already separate the winner.
-func (e *Engine) UKRanks(q *uncertain.Object, k int) []RankWinner {
-	winners, _ := e.UKRanksCtx(context.Background(), q, k)
-	return winners
-}
-
-// UKRanksCtx is UKRanks with cancellation and concurrent candidate
-// evaluation on the query executor.
+// already separate the winner. Candidates are evaluated concurrently on
+// the query executor, with cancellation.
 func (e *Engine) UKRanksCtx(ctx context.Context, q *uncertain.Object, k int) ([]RankWinner, error) {
 	if k < 1 {
 		return nil, nil
@@ -127,7 +121,8 @@ func (e *Engine) UKRanksCtx(ctx context.Context, q *uncertain.Object, k int) ([]
 func (e *Engine) GlobalTopK(q *uncertain.Object, k int) []*uncertain.Object {
 	seen := map[int]bool{}
 	var out []*uncertain.Object
-	for _, w := range e.UKRanks(q, k) {
+	winners, _ := e.UKRanksCtx(context.Background(), q, k) // never cancelled: no error
+	for _, w := range winners {
 		if !seen[w.Object.ID] {
 			seen[w.Object.ID] = true
 			out = append(out, w.Object)

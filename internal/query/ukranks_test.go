@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -35,7 +36,7 @@ func TestUKRanksOnCertainData(t *testing.T) {
 	}
 	q := uncertain.PointObject(99, geom.Point{0, 0})
 	eng := NewEngine(db, core.Options{MaxIterations: 4})
-	winners := eng.UKRanks(q, 3)
+	winners := must(eng.UKRanksCtx(context.Background(), q, 3))
 	wantIDs := []int{1, 2, 0}
 	if len(winners) != 3 {
 		t.Fatalf("got %d winners", len(winners))
@@ -58,7 +59,7 @@ func TestUKRanksBoundsContainExact(t *testing.T) {
 	db := smallDB(rng, 10, 12)
 	q := randObj(rng, 500, 12, 5, 5, 2)
 	eng := NewEngine(db, core.Options{MaxIterations: 8})
-	for _, w := range eng.UKRanks(q, 4) {
+	for _, w := range must(eng.UKRanksCtx(context.Background(), q, 4)) {
 		exact := exactRankProb(db, w.Object, q, w.Rank)
 		if !w.Prob.Contains(exact, 1e-9) {
 			t.Fatalf("rank %d winner %d: exact %g outside [%g, %g]",
@@ -101,7 +102,7 @@ func TestUKRanksInvalidK(t *testing.T) {
 	db := smallDB(rng, 4, 4)
 	q := randObj(rng, 500, 4, 5, 5, 1)
 	eng := NewEngine(db, core.Options{MaxIterations: 2})
-	if eng.UKRanks(q, 0) != nil {
+	if must(eng.UKRanksCtx(context.Background(), q, 0)) != nil {
 		t.Error("k=0 returned winners")
 	}
 }

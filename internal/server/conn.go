@@ -458,7 +458,7 @@ func (c *conn) cmdDelete(ctx context.Context, rest [][]byte) Frame {
 		return errf(codeBadArg, "%v", err)
 	}
 	c.markQueue(ctx)
-	found, err := c.srv.backend.DeleteErrCtx(ctx, id)
+	found, err := c.srv.backend.DeleteCtx(ctx, id)
 	if err != nil {
 		return errf(codeErr, "%v", err)
 	}

@@ -97,11 +97,11 @@ func runEquivalence(t *testing.T, seed int64) {
 	const subK, subTau = 3, 0.2
 	const rkK, rkTau = 2, 0.3
 
-	refKNN, err := refMon.SubscribeKNN(subQ, subK, subTau)
+	refKNN, err := refMon.Subscribe("", cq.KNN, subQ, subK, subTau)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refRKNN, err := refMon.SubscribeRKNN(subQ, rkK, rkTau)
+	refRKNN, err := refMon.Subscribe("", cq.RKNN, subQ, rkK, rkTau)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func runEquivalence(t *testing.T, seed int64) {
 		case c <= 2: // insert
 			o := testObj(rng, nextID)
 			nextID++
-			if err := ref.Insert(o); err != nil {
+			if err := ref.InsertCtx(context.Background(), o); err != nil {
 				t.Fatalf("op %d: ref insert: %v", op, err)
 			}
 			for _, cd := range cands {
@@ -166,7 +166,7 @@ func runEquivalence(t *testing.T, seed int64) {
 		case c <= 4: // update
 			id := ids[rng.Intn(len(ids))]
 			o := testObj(rng, id)
-			if err := ref.Update(o); err != nil {
+			if err := ref.UpdateCtx(context.Background(), o); err != nil {
 				t.Fatalf("op %d: ref update: %v", op, err)
 			}
 			for _, cd := range cands {
@@ -178,7 +178,7 @@ func runEquivalence(t *testing.T, seed int64) {
 			i := rng.Intn(len(ids))
 			id := ids[i]
 			ids = append(ids[:i], ids[i+1:]...)
-			if found, err := ref.DeleteErr(id); err != nil || !found {
+			if found, err := ref.DeleteCtx(context.Background(), id); err != nil || !found {
 				t.Fatalf("op %d: ref delete: found=%v err=%v", op, found, err)
 			}
 			for _, cd := range cands {

@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"probprune/internal/obs"
-	"probprune/internal/query"
-	"probprune/internal/wal"
 )
 
 // commandNames is every command dispatch knows. The metric set is built
@@ -128,15 +126,9 @@ func (s *Server) MetricPoints() []obs.MetricPoint {
 		obs.MetricPoint{Name: "cq.cursor.compactions", Kind: obs.KindCounter, Value: int64(cs.CursorCompactions)},
 	)
 
-	if b, ok := s.backend.(interface{ Metrics() *query.Metrics }); ok {
-		pts = append(pts, b.Metrics().Registry().Points()...)
-	}
-	if b, ok := s.backend.(interface {
-		WALStats() (wal.MetricsSnapshot, bool)
-	}); ok {
-		if ws, have := b.WALStats(); have {
-			pts = append(pts, ws.Points()...)
-		}
+	pts = append(pts, s.backend.Metrics().Registry().Points()...)
+	if ws, have := s.backend.WALStats(); have {
+		pts = append(pts, ws.Points()...)
 	}
 
 	pts = append(pts, s.runtimePoints()...)

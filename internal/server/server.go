@@ -13,6 +13,7 @@ import (
 	"probprune/internal/obs"
 	"probprune/internal/query"
 	"probprune/internal/uncertain"
+	"probprune/internal/wal"
 )
 
 // Backend is the store surface the server serves; *query.Store
@@ -23,24 +24,29 @@ import (
 type Backend interface {
 	cq.Source // Watch + Version, for the subscription monitor
 
-	Insert(o *uncertain.Object) error
-	Update(o *uncertain.Object) error
-	DeleteErr(id int) (bool, error)
 	Get(id int) (*uncertain.Object, bool)
 	Len() int
 
-	// The context-threading mutation variants carry an obs.Trace for the
-	// TRACE protocol flag: a traced INSERT measures its WAL-wait span
-	// (group-commit fsync) and ships it back to the client.
+	// The mutations' contexts carry an obs.Trace for the TRACE protocol
+	// flag: a traced INSERT measures its WAL-wait span (group-commit
+	// fsync) and ships it back to the client.
 	InsertCtx(ctx context.Context, o *uncertain.Object) error
 	UpdateCtx(ctx context.Context, o *uncertain.Object) error
-	DeleteErrCtx(ctx context.Context, id int) (bool, error)
+	DeleteCtx(ctx context.Context, id int) (bool, error)
 
 	KNNCtx(ctx context.Context, q *uncertain.Object, k int, tau float64) ([]query.Match, error)
 	RKNNCtx(ctx context.Context, q *uncertain.Object, k int, tau float64) ([]query.Match, error)
 	TopKNNCtx(ctx context.Context, q *uncertain.Object, k, m int) ([]query.Match, error)
 	InverseRank(b, r *uncertain.Object) *query.RankDistribution
 	BatchKNN(ctx context.Context, reqs []query.KNNRequest) ([][]query.Match, error)
+
+	// Observability: the store's metrics and journal statistics feed
+	// STATS and /metrics; the server-owned flight recorder and its
+	// slow-query threshold are installed into the store at New.
+	Metrics() *query.Metrics
+	WALStats() (wal.MetricsSnapshot, bool)
+	SetRecorder(rec *obs.Recorder)
+	SetSlowQueryThreshold(d time.Duration)
 }
 
 // Options configures a Server.
@@ -198,15 +204,10 @@ func New(backend Backend, opts Options) *Server {
 		named:    make(map[string]*subState),
 	}
 	// The flight recorder is server-owned but records store-side events
-	// too: backends that can carry one (both stores do) get it installed,
-	// along with the slow-query capture threshold.
-	if b, ok := backend.(interface{ SetRecorder(*obs.Recorder) }); ok {
-		b.SetRecorder(s.rec)
-	}
+	// too, along with the slow-query capture threshold.
+	backend.SetRecorder(s.rec)
 	if opts.SlowQuery > 0 {
-		if b, ok := backend.(interface{ SetSlowQueryThreshold(time.Duration) }); ok {
-			b.SetSlowQueryThreshold(opts.SlowQuery)
-		}
+		backend.SetSlowQueryThreshold(opts.SlowQuery)
 	}
 	s.mon = cq.NewMonitor(backend, cq.Options{
 		Buffer:      opts.subBuffer(),
@@ -380,19 +381,6 @@ func subscribeErrFrame(err error) Frame {
 	}
 }
 
-func (s *Server) subscribeCQ(sp subSpec) (*cq.Subscription, error) {
-	if sp.name != "" {
-		if sp.kind == cq.RKNN {
-			return s.mon.SubscribeRKNNDurable(sp.name, sp.q, sp.k, sp.tau)
-		}
-		return s.mon.SubscribeKNNDurable(sp.name, sp.q, sp.k, sp.tau)
-	}
-	if sp.kind == cq.RKNN {
-		return s.mon.SubscribeRKNN(sp.q, sp.k, sp.tau)
-	}
-	return s.mon.SubscribeKNN(sp.q, sp.k, sp.tau)
-}
-
 // newSessionLocked registers a new session, claimed by c (hold is set:
 // delivery stays silent until the dispatch goroutine has enqueued the
 // command reply and calls release). Caller holds s.mu.
@@ -451,7 +439,7 @@ func (s *Server) subscribe(c *conn, sp subSpec) (*subState, string, *Frame) {
 			mode = ModeDelta
 		}
 	}
-	sub, err := s.subscribeCQ(sp)
+	sub, err := s.mon.Subscribe(sp.name, sp.kind, sp.q, sp.k, sp.tau)
 	if err != nil {
 		return nil, "", efp(subscribeErrFrame(err))
 	}
@@ -503,7 +491,7 @@ func (s *Server) resume(c *conn, sp subSpec, w watermark) (*subState, string, ui
 	if s.mon.HasCursorSub(sp.name) {
 		mode = ModeDelta
 	}
-	sub, err := s.subscribeCQ(sp)
+	sub, err := s.mon.Subscribe(sp.name, sp.kind, sp.q, sp.k, sp.tau)
 	if err != nil {
 		return nil, "", 0, efp(subscribeErrFrame(err))
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -134,6 +135,52 @@ func TestTracedMutationWALWait(t *testing.T) {
 	}
 	if vts.WALWait != 0 {
 		t.Fatalf("volatile traced INSERT reports WAL wait %v", vts.WALWait)
+	}
+}
+
+// TestTracedQueryAndUpdate: the traced RKNN, TOPKNN and UPDATE client
+// calls against a durable SyncAlways store carry their trace frames —
+// the queries count the candidates entering the filter, the update its
+// WAL wait — and answer what the untraced calls answer.
+func TestTracedQueryAndUpdate(t *testing.T) {
+	db := testDB(7, 12)
+	durable, err := query.BootstrapStore(db, query.PersistOptions{
+		Dir: t.TempDir(), Sync: wal.SyncAlways}, testOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { durable.Close() })
+	_, addr := startServer(t, durable, server.Options{})
+	cl := dial(t, addr)
+	q := db[0]
+
+	rms, rts, err := cl.RKNNTrace(q, 3, 0.3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rts.Candidates == 0 {
+		t.Fatalf("traced RKNN counts no candidates: %+v", rts)
+	}
+	if plain, err := cl.RKNN(q, 3, 0.3); err != nil || !reflect.DeepEqual(plain, rms) {
+		t.Fatalf("traced RKNN answer differs from the untraced one (err %v)", err)
+	}
+	tms, tts, err := cl.TopKNNTrace(q, 3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tts.Candidates == 0 {
+		t.Fatalf("traced TOPKNN counts no candidates: %+v", tts)
+	}
+	if plain, err := cl.TopKNN(q, 3, 4); err != nil || !reflect.DeepEqual(plain, tms) {
+		t.Fatalf("traced TOPKNN answer differs from the untraced one (err %v)", err)
+	}
+
+	uts, err := cl.UpdateTrace(testObj(rand.New(rand.NewSource(33)), db[1].ID))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if uts.WALWait <= 0 {
+		t.Fatalf("durable traced UPDATE reports no WAL wait: %+v", uts)
 	}
 }
 

@@ -194,3 +194,40 @@ func TestDecompObjectAccessor(t *testing.T) {
 		t.Error("Object accessor mismatch")
 	}
 }
+
+// TestPackPartitions: the packed copy holds the same rectangles and
+// masses, in one backing array that does not alias the tree's.
+func TestPackPartitions(t *testing.T) {
+	if got := PackPartitions(nil); got != nil {
+		t.Fatalf("PackPartitions(nil) = %v", got)
+	}
+	rng := rand.New(rand.NewSource(62))
+	parts := NewDecompTree(randomObject(rng, 0, 64, 3), 0).PartitionsAtLevel(3)
+	packed := PackPartitions(parts)
+	if len(packed) != len(parts) {
+		t.Fatalf("%d packed partitions, want %d", len(packed), len(parts))
+	}
+	for i := range parts {
+		if !packed[i].MBR.Equal(parts[i].MBR) || packed[i].Prob != parts[i].Prob {
+			t.Fatalf("partition %d: packed %+v, want %+v", i, packed[i], parts[i])
+		}
+	}
+	packed[0].MBR.Min[0] = -1
+	if parts[0].MBR.Min[0] == -1 {
+		t.Fatal("packed partitions alias the tree's rectangles")
+	}
+	for i, p := range packed {
+		if cap(p.MBR.Min) != 3 || cap(p.MBR.Max) != 3 {
+			t.Fatalf("partition %d: corners are not capacity-limited views", i)
+		}
+	}
+}
+
+// TestTruncatedGaussianBounds: the density's support is its region.
+func TestTruncatedGaussianBounds(t *testing.T) {
+	r := geom.Rect{Min: geom.Point{0, 1}, Max: geom.Point{2, 3}}
+	g := TruncatedGaussian{Mean: geom.Point{1, 2}, Sigma: []float64{1, 1}, Region: r}
+	if !g.Bounds().Equal(r) {
+		t.Fatalf("Bounds = %v, want %v", g.Bounds(), r)
+	}
+}

@@ -126,3 +126,23 @@ func mustObject(t *testing.T, id int, pts []geom.Point) *Object {
 	}
 	return o
 }
+
+// TestExistence: the zero value means certain existence, SetExistence
+// accepts (0, 1] and rejects everything else unchanged.
+func TestExistence(t *testing.T) {
+	o := PointObject(1, geom.Point{0.5, 0.5})
+	if p := o.ExistenceProb(); p != 1 {
+		t.Fatalf("default ExistenceProb = %g, want 1", p)
+	}
+	if err := o.SetExistence(0.25); err != nil || o.ExistenceProb() != 0.25 {
+		t.Fatalf("SetExistence(0.25): err %v, prob %g", err, o.ExistenceProb())
+	}
+	for _, p := range []float64{0, -0.1, 1.5, math.NaN()} {
+		if err := o.SetExistence(p); err == nil {
+			t.Errorf("SetExistence(%g) accepted", p)
+		}
+	}
+	if o.ExistenceProb() != 0.25 {
+		t.Fatalf("rejected SetExistence changed the probability to %g", o.ExistenceProb())
+	}
+}

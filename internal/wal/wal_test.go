@@ -411,3 +411,89 @@ func TestRecordAccessors(t *testing.T) {
 		t.Fatal("fallback names wrong")
 	}
 }
+
+// TestHasData: the bootstrap guard's probe reports a checkpoint or an
+// intact first record, and nothing else — an empty, foreign, torn or
+// corrupt first segment holds no durable state.
+func TestHasData(t *testing.T) {
+	// One real segment holding one record; the cases below are cut
+	// from its bytes.
+	src := t.TempDir()
+	j, err := Open(src, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Replay(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(testRecord(t, rand.New(rand.NewSource(4)), 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	intact, err := os.ReadFile(filepath.Join(src, segName(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(intact) <= len(segMagic)+frameHeader {
+		t.Fatalf("segment of %d bytes holds no frame", len(intact))
+	}
+	flip := func(i int) []byte {
+		b := append([]byte(nil), intact...)
+		b[i] ^= 0xff
+		return b
+	}
+	checkpointOnly := func(t *testing.T, dir string) {
+		j, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Replay(nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.WriteCheckpoint(&Checkpoint{Version: 1, Objects: mustSynthetic(t, 3, 2)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	segment := func(b []byte) func(*testing.T, string) {
+		return func(t *testing.T, dir string) {
+			if err := os.WriteFile(filepath.Join(dir, segName(1)), b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		setup func(*testing.T, string)
+		want  bool
+	}{
+		{"empty dir", func(*testing.T, string) {}, false},
+		{"checkpoint only", checkpointOnly, true},
+		{"zero-length segment", segment(nil), false},
+		{"wrong magic", segment(flip(0)), false},
+		{"torn first frame", segment(intact[:len(intact)-1]), false},
+		{"CRC mismatch", segment(flip(len(intact) - 1)), false},
+		{"intact frame", segment(intact), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			tc.setup(t, dir)
+			j, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			got, err := j.HasData()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != tc.want {
+				t.Fatalf("HasData = %v, want %v", got, tc.want)
+			}
+		})
+	}
+}

@@ -22,7 +22,7 @@ func TestRootParallelAPI(t *testing.T) {
 
 	seq := probprune.NewEngine(db, probprune.Options{MaxIterations: 4, Parallelism: 1})
 	par := probprune.NewEngine(db, probprune.Options{MaxIterations: 4, Parallelism: 4})
-	a := seq.KNN(q, 5, 0.5)
+	a := must(seq.KNNCtx(context.Background(), q, 5, 0.5))
 	b, err := par.KNNCtx(context.Background(), q, 5, 0.5)
 	if err != nil {
 		t.Fatal(err)

@@ -28,7 +28,8 @@
 //	db, _ := probprune.Synthetic(probprune.SyntheticConfig{N: 1000, Samples: 100, Seed: 1})
 //	engine := probprune.NewEngine(db, probprune.Options{MaxIterations: 6})
 //	q := probprune.PointObject(-1, probprune.Point{0.5, 0.5})
-//	for _, m := range engine.KNN(q, 5, 0.5) {
+//	matches, _ := engine.KNNCtx(context.Background(), q, 5, 0.5)
+//	for _, m := range matches {
 //	    if m.IsResult {
 //	        fmt.Println(m.Object.ID, m.Prob)
 //	    }
@@ -47,16 +48,17 @@
 // hands Options.Parallelism to that run's (B′, R′) pair loop, as
 // core.Run does at Parallelism > 1: the result is deterministic for a
 // fixed worker count but differs from the sequential one by float
-// reassociation, and 0 or 1 runs the pairs sequentially. Every query
-// has a context-accepting variant for cancellation and deadlines:
+// reassociation, and 0 or 1 runs the pairs sequentially. Every
+// candidate query has one form, which takes a context for cancellation
+// and deadlines:
 //
 //	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 //	defer cancel()
 //	matches, err := engine.KNNCtx(ctx, q, 5, 0.5)   // also RKNNCtx,
 //	// RankByExpectedRankCtx, TopKNNCtx, UKRanksCtx
 //
-// The plain methods (KNN, RKNN, ...) are thin wrappers over the context
-// variants with context.Background(). Callers driving core.Run directly
+// InverseRank, a single run, takes no context, and Store.KNN is
+// Store.KNNCtx with context.Background(). Callers driving core.Run directly
 // can share decomposition work themselves: NewRefDecomp with
 // Options.SharedTarget/SharedReference shares one operand across runs,
 // NewDecompCache with Options.SharedDecomps shares every decomposition
@@ -65,16 +67,17 @@
 // # Live stores and batch queries
 //
 // Engine evaluates a frozen Database. Store is the serving-path
-// counterpart: a concurrent, mutable store with Insert/Delete/Update
-// live ingest, copy-on-write snapshot isolation (a query never observes
-// a half-applied update) and a persistent decomposition cache that
-// survives across queries and is invalidated per object on update.
+// counterpart: a concurrent, mutable store with InsertCtx, UpdateCtx
+// and DeleteCtx live ingest, copy-on-write snapshot isolation (a query
+// never observes a half-applied update) and a persistent decomposition
+// cache that survives across queries and is invalidated per object on
+// update.
 // BatchKNN pours many queries into one worker pool over one snapshot:
 //
 //	store, _ := probprune.NewStore(db, probprune.Options{})
-//	store.Insert(obj)                        // live ingest
-//	matches := store.KNN(q, 5, 0.5)          // snapshot-isolated
-//	results, _ := store.BatchKNN(ctx, reqs)  // amortized batch
+//	store.InsertCtx(ctx, obj)                   // live ingest
+//	matches, _ := store.KNNCtx(ctx, q, 5, 0.5)  // snapshot-isolated
+//	results, _ := store.BatchKNN(ctx, reqs)     // amortized batch
 //
 // Store results are bit-identical to a fresh Engine built from the same
 // state, at any Parallelism.
@@ -92,7 +95,7 @@
 //
 //	sharded, _ := probprune.NewShardedStore(db,
 //	    probprune.ShardedOptions{Shards: 8}, probprune.Options{})
-//	sharded.Insert(obj)                   // routed to its home shard
+//	sharded.InsertCtx(ctx, obj)           // routed to its home shard
 //	matches := sharded.KNN(q, 5, 0.5)     // scatter-gather, bit-identical
 //	moved := sharded.Rebalance()          // online, result-invariant
 //
@@ -109,7 +112,7 @@
 //
 //	popts := probprune.PersistOptions{Dir: "data/db", CheckpointEvery: 4096}
 //	store, _ := probprune.BootstrapStore(db, popts, probprune.Options{})
-//	store.Insert(obj)                     // journaled, then applied
+//	store.InsertCtx(ctx, obj)             // journaled, then applied
 //	store.Close()
 //	store, _ = probprune.OpenStore(popts, probprune.Options{})
 //
@@ -125,13 +128,13 @@
 // stream stays bit-identical to re-running the query at every version:
 //
 //	monitor := probprune.NewMonitor(store, probprune.MonitorOptions{})
-//	sub, _ := monitor.SubscribeKNN(q, 5, 0.5)
+//	sub, _ := monitor.Subscribe("", probprune.KNNSubscription, q, 5, 0.5)
 //	go func() {
 //	    for ev := range sub.Events() {
 //	        fmt.Println(ev.Kind, ev.Object.ID, ev.Match.Prob)
 //	    }
 //	}()
-//	store.Update(obj) // affected subscriptions stream events
+//	store.UpdateCtx(ctx, obj) // affected subscriptions stream events
 //
 // The examples/ directory contains runnable end-to-end scenarios and
 // cmd/experiments regenerates the paper's evaluation figures.
@@ -322,7 +325,7 @@ func NewEngine(db Database, opts Options) *Engine {
 // queries (see internal/query.Store).
 type (
 	// Store is a concurrent uncertain-object store with live ingest
-	// (Insert/Delete/Update), snapshot-isolated queries and cross-query
+	// (InsertCtx/DeleteCtx/UpdateCtx), snapshot-isolated queries and cross-query
 	// decomposition reuse. Its snapshot queries are bit-identical to a
 	// fresh Engine over the same state, at any Parallelism.
 	Store = query.Store
@@ -480,7 +483,7 @@ const (
 )
 
 // Terminal subscription errors (see Subscription.Err), plus the
-// durable-cursor mismatch error (see Monitor.SubscribeKNNDurable).
+// durable-cursor mismatch error (see Monitor.Subscribe).
 var (
 	ErrSlowConsumer   = cq.ErrSlowConsumer
 	ErrUnsubscribed   = cq.ErrUnsubscribed
@@ -490,8 +493,9 @@ var (
 
 // NewMonitor attaches a continuous-query monitor to a store (the merged
 // change stream of all its shards, tracked by a version-vector cursor).
-// Register standing queries with
-// SubscribeKNN/SubscribeRKNN, release with Close.
+// Register standing queries with Subscribe (an empty name for an
+// anonymous subscription, a name for a durable one), cancel one with
+// Subscription.Cancel, release the monitor with Close.
 func NewMonitor(store MonitorSource, opts MonitorOptions) *Monitor {
 	return cq.NewMonitor(store, opts)
 }

@@ -1,6 +1,7 @@
 package probprune_test
 
 import (
+	"context"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -86,7 +87,7 @@ func TestEndToEndKNN(t *testing.T) {
 		t.Run(be.name, func(t *testing.T) {
 			q := probprune.PointObject(-1, probprune.Point{0.5, 0.5})
 			const k, tau = 5, 0.5
-			matches := be.eng.KNN(q, k, tau)
+			matches := must(be.eng.KNNCtx(context.Background(), q, k, tau))
 			if len(matches) != len(db) {
 				t.Fatalf("%d matches for %d objects", len(matches), len(db))
 			}
@@ -233,4 +234,13 @@ func TestObjectConstructors(t *testing.T) {
 	if stop == nil {
 		t.Fatal("ThresholdStop returned nil")
 	}
+}
+
+// must unwraps a query result. Under context.Background(), which never
+// cancels, a query's error is always nil.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

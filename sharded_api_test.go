@@ -51,8 +51,8 @@ func ExampleStore_Rebalance() {
 
 	// Updates drift two objects into the first stripe; their home shard
 	// stays put until a rebalance migrates them.
-	s.Update(probprune.PointObject(3, probprune.Point{1.5, 0}))
-	s.Update(probprune.PointObject(4, probprune.Point{2.5, 0}))
+	s.UpdateCtx(context.Background(), probprune.PointObject(3, probprune.Point{1.5, 0}))
+	s.UpdateCtx(context.Background(), probprune.PointObject(4, probprune.Point{2.5, 0}))
 	fmt.Println("sizes after drift:", s.ShardSizes())
 	fmt.Println("moved:", s.Rebalance())
 	fmt.Println("sizes after rebalance:", s.ShardSizes())
@@ -92,7 +92,7 @@ func TestShardedStoreFacade(t *testing.T) {
 	monitor := probprune.NewMonitor(sharded, probprune.MonitorOptions{Buffer: 4096})
 	defer monitor.Close()
 	q := probprune.PointObject(-1, probprune.Point{0.5, 0.5})
-	sub, err := monitor.SubscribeKNN(q, 3, 0.3)
+	sub, err := monitor.Subscribe("", probprune.KNNSubscription, q, 3, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,14 +100,14 @@ func TestShardedStoreFacade(t *testing.T) {
 	// Mirror a small mutation burst into both backends.
 	for i := 0; i < 5; i++ {
 		o := probprune.PointObject(1000+i, probprune.Point{0.45 + float64(i)*0.02, 0.5})
-		if err := sharded.Insert(o); err != nil {
+		if err := sharded.InsertCtx(context.Background(), o); err != nil {
 			t.Fatal(err)
 		}
-		if err := store.Insert(o); err != nil {
+		if err := store.InsertCtx(context.Background(), o); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !sharded.Delete(db[0].ID) || !store.Delete(db[0].ID) {
+	if !must(sharded.DeleteCtx(context.Background(), db[0].ID)) || !must(store.DeleteCtx(context.Background(), db[0].ID)) {
 		t.Fatal("delete failed")
 	}
 	if len(changes) != 6 {

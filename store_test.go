@@ -30,17 +30,17 @@ func TestStoreFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Update(moved); err != nil {
+	if err := store.UpdateCtx(context.Background(), moved); err != nil {
 		t.Fatal(err)
 	}
-	if !store.Delete(1) {
+	if !must(store.DeleteCtx(context.Background(), 1)) {
 		t.Fatal("delete of object 1 failed")
 	}
 	added, err := probprune.NewObject(1000, []probprune.Point{{0.49, 0.5}, {0.5, 0.49}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Insert(added); err != nil {
+	if err := store.InsertCtx(context.Background(), added); err != nil {
 		t.Fatal(err)
 	}
 	if store.Len() != 60 {
@@ -52,7 +52,7 @@ func TestStoreFacade(t *testing.T) {
 	snap := store.Snapshot()
 	fresh := probprune.NewEngine(snap.DB(), opts)
 	got := store.KNN(q, 5, 0.5)
-	want := fresh.KNN(q, 5, 0.5)
+	want := must(fresh.KNNCtx(context.Background(), q, 5, 0.5))
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("store KNN differs from fresh engine on the same state")
 	}
@@ -87,15 +87,20 @@ func TestStoreFacade(t *testing.T) {
 
 	// Mixed batch through the generic entry point.
 	var topk []probprune.Match
-	store.Batch(func(e *probprune.Engine) {
-		topk = e.TopKNN(q, 5, 3)
+	err = store.BatchCtx(context.Background(), func(ctx context.Context, e *probprune.Engine) error {
+		var err error
+		topk, err = e.TopKNNCtx(ctx, q, 5, 3)
+		return err
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(topk) != 3 {
 		t.Fatalf("TopKNN in Batch returned %d matches", len(topk))
 	}
 
 	// A held snapshot survives later mutations untouched.
-	if !store.Delete(1000) {
+	if !must(store.DeleteCtx(context.Background(), 1000)) {
 		t.Fatal("delete of object 1000 failed")
 	}
 	if snap.Len() != 60 || store.Len() != 59 {
